@@ -180,6 +180,9 @@ pub struct ControlPlane {
     sent: u64,
     stats: ControlPlaneStats,
     trace: TraceHandle,
+    /// Whether `control.delivered` has been registered (see
+    /// [`ControlPlane::recv_assignments`]).
+    delivered_registered: bool,
 }
 
 impl ControlPlane {
@@ -194,6 +197,7 @@ impl ControlPlane {
             sent: 0,
             stats: ControlPlaneStats::default(),
             trace: TraceHandle::disabled(),
+            delivered_registered: false,
         }
     }
 
@@ -307,11 +311,31 @@ impl ControlPlane {
 
     /// Client side: receives every assignment due by `now`, in delivery
     /// order (reordered messages genuinely arrive late).
+    ///
+    /// A poll with nothing due returns at once. The first poll registers
+    /// `control.delivered` at 0, so the registry carries the counter even
+    /// when nothing is ever delivered (e.g. under total loss).
     pub fn recv_assignments(&mut self, now: Time) -> Vec<AssignmentMsg> {
+        if !self.delivered_registered {
+            self.delivered_registered = true;
+            self.trace.incr("control.delivered", 0);
+        }
+        if self.downlink.iter().all(|m| m.deliver_at > now) {
+            return Vec::new();
+        }
         let due = Self::take_due(&mut self.downlink, now);
         self.stats.delivered += due.len() as u64;
         self.trace.incr("control.delivered", due.len() as u64);
         due.into_iter().map(|m| m.msg).collect()
+    }
+
+    /// The earliest time at which a message in flight on either link falls
+    /// due, or `None` when nothing is in flight. Receiving at any earlier
+    /// time returns nothing and changes no state.
+    pub fn next_delivery(&self) -> Option<Time> {
+        let up = self.uplink.iter().map(|m| m.deliver_at);
+        let down = self.downlink.iter().map(|m| m.deliver_at);
+        up.chain(down).min()
     }
 
     /// Messages still in flight on both links (for tests).
@@ -379,6 +403,45 @@ mod tests {
         assert!(cp.recv_assignments(Time::from_secs(100)).is_empty());
         assert_eq!(cp.stats().dropped, 2);
         assert_eq!(cp.in_flight(), 0);
+    }
+
+    #[test]
+    fn delivered_counter_is_registered_under_total_loss() {
+        // Nothing is ever delivered, yet the snapshot still carries the
+        // counter at 0, exactly as when every poll touched it.
+        let trace = TraceHandle::registry_only();
+        let mut cp = ControlPlane::new(FaultModel::perfect().with_drop_prob(1.0), 1)
+            .with_trace(trace.clone());
+        for bai in 1..=5u64 {
+            let now = Time::from_secs(bai * 10);
+            cp.send_report(now, report(now.as_millis()));
+            cp.send_assignments(now, vec![assignment(bai)]);
+            assert!(cp.recv_reports(now).is_empty());
+            assert!(cp.recv_assignments(now).is_empty());
+        }
+        let snap = trace.snapshot();
+        assert!(snap
+            .counters
+            .iter()
+            .any(|(k, v)| k == "control.delivered" && *v == 0));
+        assert_eq!(snap.counter("control.dropped"), 10);
+    }
+
+    #[test]
+    fn next_delivery_is_the_earliest_due_message() {
+        let fm = FaultModel::perfect().with_delay(TimeDelta::from_millis(250));
+        let mut cp = ControlPlane::new(fm, 1);
+        assert_eq!(cp.next_delivery(), None);
+        cp.send_assignments(Time::from_secs(20), vec![assignment(2)]);
+        cp.send_report(Time::from_secs(10), report(10_000));
+        assert_eq!(cp.next_delivery(), Some(Time::from_millis(10_250)));
+        // Polls before the due time see nothing.
+        assert!(cp.recv_reports(Time::from_millis(10_249)).is_empty());
+        assert_eq!(cp.recv_reports(Time::from_millis(10_250)).len(), 1);
+        assert_eq!(cp.next_delivery(), Some(Time::from_millis(20_250)));
+        assert!(cp.recv_assignments(Time::from_millis(20_249)).is_empty());
+        assert_eq!(cp.recv_assignments(Time::from_millis(20_250)).len(), 1);
+        assert_eq!(cp.next_delivery(), None);
     }
 
     #[test]

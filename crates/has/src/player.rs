@@ -229,6 +229,33 @@ impl Player {
         self.maybe_request(now)
     }
 
+    /// How many consecutive 1 ms [`Player::step`] calls from now provably
+    /// do nothing but drain the buffer: playback is running, no download is
+    /// in flight, segments remain, and the buffer stays at or above the
+    /// request threshold throughout. 0 when the next step may do anything
+    /// else.
+    pub fn coast_ms(&self) -> u64 {
+        if !self.started
+            || self.stalled
+            || self.download.is_some()
+            || self.next_segment >= self.mpd.segment_count()
+        {
+            return 0;
+        }
+        self.buffer
+            .level()
+            .saturating_sub(self.config.request_threshold)
+            .as_millis()
+    }
+
+    /// Plays back `ms` milliseconds in one step: identical to `ms` calls of
+    /// [`Player::step`] with a 1 ms `dt`, provided `ms <= coast_ms()`.
+    pub fn coast(&mut self, ms: u64) {
+        debug_assert!(ms <= self.coast_ms(), "coast past the next event");
+        let starved = self.buffer.drain(TimeDelta::from_millis(ms));
+        debug_assert!(starved.is_zero());
+    }
+
     fn advance_playback(&mut self, now: Time, dt: TimeDelta) {
         if !self.started {
             if self.buffer.level() >= self.config.startup_threshold
@@ -613,6 +640,80 @@ mod tests {
                 },
             )
             .unwrap();
+    }
+
+    /// A player in steady playback (started, nothing in flight, segments
+    /// left) holding exactly `buffer_ms` of media at t = 100 s.
+    fn steady(buffer_ms: u64) -> Player {
+        let mut p = player(2, 600);
+        p.started = true;
+        p.playback_started_at = Some(Time::from_secs(1));
+        p.next_segment = 4;
+        p.buffer.push(TimeDelta::from_millis(buffer_ms));
+        p
+    }
+
+    #[test]
+    fn coasting_equals_per_ms_steps_around_the_request_threshold() {
+        let threshold = PlayerConfig::default().request_threshold.as_millis();
+        let start = Time::from_secs(100);
+        for buffer_ms in (threshold - 3..=threshold + 3).chain([threshold + 9_999]) {
+            let (mut coasted, mut stepped) = (steady(buffer_ms), steady(buffer_ms));
+            let k = coasted.coast_ms();
+            assert_eq!(k, buffer_ms.saturating_sub(threshold), "buffer {buffer_ms}");
+            coasted.coast(k);
+            let mut now = start;
+            for _ in 0..k {
+                now += TTI;
+                assert_eq!(stepped.step(now, TTI), None, "buffer {buffer_ms}");
+            }
+            assert_eq!(coasted.buffer_level(), stepped.buffer_level());
+            assert_eq!(coasted.stats(), stepped.stats());
+            assert_eq!(coasted.stalled(), stepped.stalled());
+            assert_eq!(coasted.coast_ms(), 0);
+            // The step right after the span is the request, for both.
+            now += TTI;
+            let a = coasted.step(now, TTI);
+            assert!(a.is_some(), "buffer {buffer_ms}: no request after the span");
+            assert_eq!(a, stepped.step(now, TTI));
+            assert_eq!(coasted.buffer_level(), stepped.buffer_level());
+        }
+    }
+
+    #[test]
+    fn partial_coasts_compose_like_steps() {
+        let (mut coasted, mut stepped) = (steady(31_500), steady(31_500));
+        let mut now = Time::from_secs(100);
+        for k in [1, 7, 250, 0, 1_242] {
+            coasted.coast(k);
+            for _ in 0..k {
+                now += TTI;
+                assert_eq!(stepped.step(now, TTI), None);
+            }
+            assert_eq!(coasted.buffer_level(), stepped.buffer_level());
+            assert_eq!(coasted.coast_ms(), stepped.coast_ms());
+        }
+        assert_eq!(coasted.coast_ms(), 0);
+    }
+
+    #[test]
+    fn no_coasting_outside_steady_playback() {
+        // Not started yet: the next step may start playback or request.
+        assert_eq!(player(2, 600).coast_ms(), 0);
+        // Stalled: every step accrues underflow time.
+        let mut p = steady(40_000);
+        p.stalled = true;
+        assert_eq!(p.coast_ms(), 0);
+        // Download in flight: deliveries complete it.
+        let mut p = steady(20_000);
+        assert!(p.step(Time::from_secs(100), TTI).is_some());
+        p.buffer.push(TimeDelta::from_secs(20));
+        assert!(p.downloading());
+        assert_eq!(p.coast_ms(), 0);
+        // Every segment fetched: the run's tail is not coasted.
+        let mut p = steady(40_000);
+        p.next_segment = p.mpd().segment_count();
+        assert_eq!(p.coast_ms(), 0);
     }
 
     #[test]

@@ -30,11 +30,17 @@ pub trait ChannelModel {
     /// Callers must pass non-decreasing `t` values (the eNodeB does).
     fn itbs_at(&mut self, t: Time) -> Itbs;
 
-    /// True if `itbs_at` returns the same index at every `t`, letting the
-    /// eNodeB skip the per-TTI poll on a quiescent cell. Only a channel
-    /// whose value provably never moves may override this to `true`.
-    fn is_time_invariant(&self) -> bool {
-        false
+    /// How long the index returned by the most recent `itbs_at` call
+    /// provably holds: every query at a time `t` with `last ≤ t <
+    /// hold_until()` returns the same index and leaves the process in the
+    /// same state as if it had been polled every TTI in between. This lets
+    /// a quiescent eNodeB skip the per-TTI poll up to that time and catch
+    /// the channel up lazily afterwards.
+    ///
+    /// `None` (the default) promises nothing; [`Time::MAX`] means the
+    /// index never moves.
+    fn hold_until(&self) -> Option<Time> {
+        None
     }
 }
 
@@ -68,8 +74,8 @@ impl ChannelModel for StaticChannel {
         self.itbs
     }
 
-    fn is_time_invariant(&self) -> bool {
-        true
+    fn hold_until(&self) -> Option<Time> {
+        Some(Time::MAX)
     }
 }
 
@@ -289,6 +295,10 @@ impl ChannelModel for TraceChannel {
         }
         self.trace[self.cursor].1
     }
+
+    fn hold_until(&self) -> Option<Time> {
+        Some(self.trace.get(self.cursor + 1).map_or(Time::MAX, |e| e.0))
+    }
 }
 
 /// A bounded random-walk fading process (Gilbert-Elliott flavoured).
@@ -354,6 +364,42 @@ impl ChannelModel for MarkovChannel {
         }
         Itbs::new(self.current)
     }
+
+    fn hold_until(&self) -> Option<Time> {
+        Some(self.next_update)
+    }
+}
+
+/// Test support for [`ChannelModel::hold_until`]: polls `every_ms` once
+/// per millisecond over `[0, end_ms)` and its twin `lazy` only when the
+/// hold it promised runs out. Asserts that the per-ms index never leaves
+/// the value `lazy` is holding, i.e. the index is constant before
+/// `hold_until()` and a lazily polled channel catches up to exactly the
+/// per-TTI sequence. Returns how many holds were checked.
+#[cfg(test)]
+pub(crate) fn check_hold_contract(
+    every_ms: &mut dyn ChannelModel,
+    lazy: &mut dyn ChannelModel,
+    end_ms: u64,
+) -> u64 {
+    let mut held = lazy.itbs_at(Time::ZERO);
+    let mut until = lazy.hold_until().expect("channel promises a hold");
+    let mut holds = 1;
+    for ms in 0..end_ms {
+        let t = Time::from_millis(ms);
+        if t >= until {
+            held = lazy.itbs_at(t);
+            until = lazy.hold_until().expect("channel promises a hold");
+            assert!(until > t, "hold_until {until:?} is not after {t:?}");
+            holds += 1;
+        }
+        assert_eq!(
+            every_ms.itbs_at(t),
+            held,
+            "index moved before hold_until at {t:?}"
+        );
+    }
+    holds
 }
 
 #[cfg(test)]
@@ -361,6 +407,59 @@ mod tests {
     use super::*;
     use flare_sim::rng::stream;
     use proptest::prelude::*;
+
+    #[test]
+    fn static_channel_holds_forever() {
+        let mut a = StaticChannel::new(Itbs::new(4));
+        let mut b = a.clone();
+        assert_eq!(check_hold_contract(&mut a, &mut b, 5_000), 1);
+        assert_eq!(b.hold_until(), Some(Time::MAX));
+    }
+
+    #[test]
+    fn trace_channel_holds_until_its_next_entry() {
+        let entries = vec![
+            (Time::ZERO, Itbs::new(3)),
+            (Time::from_millis(40), Itbs::new(8)),
+            (Time::from_millis(40), Itbs::new(9)),
+            (Time::from_millis(41), Itbs::new(2)),
+            (Time::from_millis(700), Itbs::new(5)),
+        ];
+        let mut a = TraceChannel::new(entries.clone());
+        let mut b = TraceChannel::new(entries);
+        assert_eq!(check_hold_contract(&mut a, &mut b, 1_000), 4);
+        // Past the last entry the index never moves again.
+        assert_eq!(b.hold_until(), Some(Time::MAX));
+    }
+
+    #[test]
+    fn markov_channel_holds_until_its_next_update() {
+        let mk = || {
+            MarkovChannel::new(
+                Itbs::new(2),
+                Itbs::new(14),
+                Itbs::new(8),
+                TimeDelta::from_millis(37),
+                0.6,
+                stream(4, "markov", 1),
+            )
+        };
+        let (mut a, mut b) = (mk(), mk());
+        // One hold per 37 ms update step, every draw consumed in order.
+        assert_eq!(check_hold_contract(&mut a, &mut b, 3_700), 100);
+    }
+
+    #[test]
+    fn triangle_wave_promises_no_hold() {
+        let mut ch = TriangleWave::new(
+            Itbs::new(1),
+            Itbs::new(12),
+            TimeDelta::from_secs(240),
+            TimeDelta::ZERO,
+        );
+        ch.itbs_at(Time::from_secs(3));
+        assert_eq!(ch.hold_until(), None);
+    }
 
     #[test]
     fn static_channel_is_constant() {

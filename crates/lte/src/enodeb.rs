@@ -101,17 +101,15 @@ pub struct ENodeB {
     tti_grants: Vec<RbAllocation>,
     tti_delivered: Vec<Delivered>,
     tti_expired: Vec<u64>,
-    /// True while the cell is provably inert: no backlog, no leases, every
-    /// bearer bucket at its burst cap, every channel time-invariant, and a
-    /// scheduler whose idle TTI is a pure settle. Under this flag
-    /// [`ENodeB::step_tti`] reduces to that settle plus the trace tick —
-    /// the outcome is bit-identical to the full path. Cleared by any flow
-    /// mutation (see [`ENodeB::flow_mut`]) and re-derived after each fully
-    /// idle TTI.
-    quiescent: bool,
-    /// All attached channels report [`ChannelModel::is_time_invariant`];
-    /// maintained by [`ENodeB::add_flow`].
-    channels_static: bool,
+    /// TTIs starting before this time are provably inert: no backlog, every
+    /// bearer bucket at its burst cap, no lease due, every channel holding
+    /// its index, and a scheduler whose idle TTI is a pure settle. Such a
+    /// TTI reduces to that settle plus the trace tick — the outcome is
+    /// bit-identical to the full path. Armed after each fully idle TTI as
+    /// the earliest channel hold ([`ChannelModel::hold_until`]) or lease
+    /// expiry; reset to [`Time::ZERO`] by any flow mutation (see
+    /// [`ENodeB::flow_mut`]).
+    quiescent_until: Time,
 }
 
 impl std::fmt::Debug for ENodeB {
@@ -145,8 +143,7 @@ impl ENodeB {
             tti_grants: Vec::new(),
             tti_delivered: Vec::new(),
             tti_expired: Vec::new(),
-            quiescent: false,
-            channels_static: true,
+            quiescent_until: Time::ZERO,
         }
     }
 
@@ -161,8 +158,7 @@ impl ENodeB {
     /// (always backlogged); video flows start with an empty queue.
     pub fn add_flow(&mut self, class: FlowClass, channel: Box<dyn ChannelModel>) -> FlowId {
         let id = FlowId(self.flows.len() as u32);
-        self.quiescent = false;
-        self.channels_static &= channel.is_time_invariant();
+        self.quiescent_until = Time::ZERO;
         let initial_itbs = Itbs::new(0);
         let cached_bits_per_rb = self.config.link_adaptation.bits_per_rb(initial_itbs);
         self.flows.push(FlowState {
@@ -328,7 +324,7 @@ impl ENodeB {
         // Every externally driven flow mutation (backlog, QoS, leases) comes
         // through here, so this is the one choke point that must re-arm the
         // full per-TTI path.
-        self.quiescent = false;
+        self.quiescent_until = Time::ZERO;
         &mut self.flows[flow.index()]
     }
 
@@ -347,23 +343,14 @@ impl ENodeB {
         debug_assert!(now >= self.now, "TTIs must advance monotonically");
         self.now = now;
 
-        // Quiescent fast path: when the previous TTI proved the cell inert
-        // (see the `quiescent` field), the full path below would rebuild an
-        // identical flow snapshot, grant nothing, and deliver nothing. Its
-        // only observable effects — the scheduler's idle settle and the MAC
-        // trace tick — are replayed here verbatim.
-        if self.quiescent {
-            let idled = self.scheduler.idle_tick(&self.tti_states);
-            debug_assert!(idled, "a quiescent cell's scheduler must idle");
+        // Quiescent fast path: while the last full TTI's proof holds (see
+        // the `quiescent_until` field), the full path below would rebuild an
+        // identical flow snapshot, grant nothing, and deliver nothing.
+        if now < self.quiescent_until {
+            self.replay_idle_tti(now);
             self.tti_grants.clear();
             self.last_tti_granted = 0;
             self.tti_delivered.clear();
-            if self.trace.tick(Category::Mac) {
-                let n_flows = self.tti_states.len() as u64;
-                self.trace.record(now, Category::Mac, "tti", |e| {
-                    e.u64("rbs", 0).u64("sched", 0).u64("flows", n_flows);
-                });
-            }
             return &self.tti_delivered;
         }
 
@@ -494,18 +481,78 @@ impl ENodeB {
             });
         }
 
-        // Arm the quiescent fast path for the next TTI: an idle settle just
-        // happened, every channel is pinned, no lease is ticking, and every
-        // bucket is already at its cap — so the next TTI can only repeat
-        // this one.
-        if took_idle && self.channels_static {
-            self.quiescent = self.flows.iter().all(|st| {
-                st.gbr_expires.is_none()
-                    && st.gbr_bucket.as_ref().is_none_or(TokenBucket::is_full)
-                    && st.mbr_bucket.as_ref().is_none_or(TokenBucket::is_full)
-            });
+        // Arm the quiescent fast path: an idle settle just happened and
+        // every bucket is already at its cap, so each following TTI repeats
+        // this one until a channel may move or a lease falls due.
+        if took_idle {
+            self.quiescent_until = self.quiet_horizon();
         }
         &self.tti_delivered
+    }
+
+    /// The earliest time at which a TTI could differ from an idle one just
+    /// run, or [`Time::ZERO`] when it already can (a bucket below its cap,
+    /// or a channel that makes no hold promise).
+    fn quiet_horizon(&self) -> Time {
+        let mut until = Time::MAX;
+        for st in &self.flows {
+            let buckets_full = st.gbr_bucket.as_ref().is_none_or(TokenBucket::is_full)
+                && st.mbr_bucket.as_ref().is_none_or(TokenBucket::is_full);
+            let Some(hold) = st.channel.hold_until().filter(|_| buckets_full) else {
+                return Time::ZERO;
+            };
+            until = until.min(hold).min(st.gbr_expires.unwrap_or(Time::MAX));
+        }
+        until
+    }
+
+    /// TTIs starting before this time are quiescent: each is a pure idle
+    /// settle that grants and delivers nothing (see
+    /// [`ENodeB::skip_quiescent`]). At or before the current time when the
+    /// cell is not quiescent.
+    pub fn quiescent_until(&self) -> Time {
+        self.quiescent_until
+    }
+
+    /// Runs `n` quiescent TTIs starting at `from`, one millisecond apart —
+    /// exactly what `n` calls of [`ENodeB::step_tti`] would do there, but
+    /// without building their empty results. Each TTI still replays the
+    /// scheduler's idle settle and the MAC trace tick, so averages, trace
+    /// sampling and recorded events stay byte-identical; channels are not
+    /// polled and catch up lazily at the next full TTI.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the `n` TTIs falls outside the quiescent window
+    /// ([`ENodeB::quiescent_until`]) or precedes the previous TTI.
+    pub fn skip_quiescent(&mut self, from: Time, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let last = from + TimeDelta::from_millis(n - 1);
+        assert!(
+            from >= self.now && last < self.quiescent_until,
+            "skip_quiescent outside the quiescent window"
+        );
+        // The TTI that armed the window left grants and deliveries empty,
+        // and replays keep them so.
+        for k in 0..n {
+            self.replay_idle_tti(from + TimeDelta::from_millis(k));
+        }
+        self.now = last;
+    }
+
+    /// The observable effects of one quiescent TTI at `now`: the
+    /// scheduler's idle settle and the MAC trace tick with its `tti` record.
+    fn replay_idle_tti(&mut self, now: Time) {
+        let idled = self.scheduler.idle_tick(&self.tti_states);
+        debug_assert!(idled, "a quiescent cell's scheduler must idle");
+        if self.trace.tick(Category::Mac) {
+            let n_flows = self.tti_states.len() as u64;
+            self.trace.record(now, Category::Mac, "tti", |e| {
+                e.u64("rbs", 0).u64("sched", 0).u64("flows", n_flows);
+            });
+        }
     }
 
     /// Drains and returns the per-flow `(n_u, b_u)` counters accumulated
@@ -574,8 +621,8 @@ impl ENodeB {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::StaticChannel;
-    use crate::scheduler::{ProportionalFair, TwoPhaseGbr};
+    use crate::channel::{StaticChannel, TraceChannel, TriangleWave};
+    use crate::scheduler::{ProportionalFair, StrictGbrPartition, TwoPhaseGbr};
     use flare_sim::TTI;
 
     fn cell(scheduler: Box<dyn MacScheduler>) -> ENodeB {
@@ -873,5 +920,93 @@ mod tests {
         let f = enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(5))));
         enb.step_tti(Time::from_millis(10));
         enb.set_gbr_lease(f, Rate::from_kbps(500.0), Time::from_millis(10));
+    }
+
+    #[test]
+    fn quiescence_waits_for_full_buckets_and_ends_at_the_lease_expiry() {
+        let mut enb = cell(Box::new(TwoPhaseGbr::default()));
+        let f = enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(9))));
+        enb.set_gbr_lease(f, Rate::from_kbps(2_000.0), Time::from_secs(5));
+        enb.push_backlog(f, ByteCount::new(60_000));
+        let mut ms = 0;
+        while enb.backlog(f) != Some(ByteCount::ZERO) {
+            enb.step_tti(Time::from_millis(ms));
+            ms += 1;
+        }
+        // Idle, but the GBR bucket is refilling: no TTI repeats yet.
+        let drained = ms;
+        enb.step_tti(Time::from_millis(ms));
+        assert_eq!(enb.quiescent_until(), Time::ZERO);
+        while enb.quiescent_until() == Time::ZERO {
+            ms += 1;
+            enb.step_tti(Time::from_millis(ms));
+            assert!(ms < drained + 250, "bucket never refilled");
+        }
+        // A static channel holds forever, so the lease bounds the window.
+        assert_eq!(enb.quiescent_until(), Time::from_secs(5));
+        enb.skip_quiescent(Time::from_millis(ms + 1), 5_000 - ms - 1);
+        assert_eq!(enb.qos(f).gbr, Some(Rate::from_kbps(2_000.0)));
+        enb.step_tti(Time::from_secs(5));
+        assert_eq!(enb.expired_lease_count(), 1);
+        // Expiry mutated the flow; the next idle TTI re-arms without it.
+        assert_eq!(enb.quiescent_until(), Time::MAX);
+        enb.push_backlog(f, ByteCount::new(1));
+        assert_eq!(enb.quiescent_until(), Time::ZERO);
+    }
+
+    #[test]
+    fn quiescence_ends_at_the_earliest_channel_hold() {
+        let mut enb = cell(Box::new(ProportionalFair::default()));
+        enb.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(3))));
+        enb.add_flow(
+            FlowClass::Video,
+            Box::new(TraceChannel::new(vec![
+                (Time::ZERO, Itbs::new(4)),
+                (Time::from_millis(750), Itbs::new(6)),
+            ])),
+        );
+        enb.step_tti(Time::ZERO);
+        assert_eq!(enb.quiescent_until(), Time::from_millis(750));
+        enb.skip_quiescent(Time::from_millis(1), 749);
+        enb.step_tti(Time::from_millis(750));
+        assert_eq!(enb.current_itbs(FlowId(1)), Itbs::new(6));
+        assert_eq!(enb.quiescent_until(), Time::MAX);
+    }
+
+    #[test]
+    fn cells_without_holds_or_idle_ticks_never_go_quiescent() {
+        let mut wave = cell(Box::new(ProportionalFair::default()));
+        wave.add_flow(
+            FlowClass::Video,
+            Box::new(TriangleWave::new(
+                Itbs::new(1),
+                Itbs::new(12),
+                TimeDelta::from_secs(240),
+                TimeDelta::ZERO,
+            )),
+        );
+        let mut strict = cell(Box::new(StrictGbrPartition::default()));
+        strict.add_flow(FlowClass::Video, Box::new(StaticChannel::new(Itbs::new(3))));
+        for ms in 0..100 {
+            wave.step_tti(Time::from_millis(ms));
+            strict.step_tti(Time::from_millis(ms));
+            assert_eq!(wave.quiescent_until(), Time::ZERO);
+            assert_eq!(strict.quiescent_until(), Time::ZERO);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the quiescent window")]
+    fn skipping_past_the_window_panics() {
+        let mut enb = cell(Box::new(ProportionalFair::default()));
+        enb.add_flow(
+            FlowClass::Video,
+            Box::new(TraceChannel::new(vec![
+                (Time::ZERO, Itbs::new(4)),
+                (Time::from_millis(20), Itbs::new(6)),
+            ])),
+        );
+        enb.step_tti(Time::ZERO);
+        enb.skip_quiescent(Time::from_millis(1), 20);
     }
 }

@@ -302,6 +302,10 @@ impl ChannelModel for MobilityChannel {
         }
         self.current
     }
+
+    fn hold_until(&self) -> Option<Time> {
+        Some(self.next_update)
+    }
 }
 
 /// Pre-generates a `(time, iTbs)` trace from the mobility pipeline, suitable
@@ -430,6 +434,16 @@ mod tests {
             distinct.len() >= 3,
             "mobile channel should vary, got {distinct:?}"
         );
+    }
+
+    #[test]
+    fn mobility_channel_holds_until_its_next_update() {
+        let cfg = MobilityConfig::default();
+        let mk = || MobilityChannel::new(cfg.clone(), stream(8, "walk", 3), stream(8, "fade", 3));
+        let (mut every_ms, mut lazy) = (mk(), mk());
+        // One hold per 100 ms update interval over two minutes.
+        let holds = crate::channel::check_hold_contract(&mut every_ms, &mut lazy, 120_000);
+        assert_eq!(holds, 1_200);
     }
 
     #[test]

@@ -455,6 +455,7 @@ impl CellSim {
             second_bytes: vec![0u64; n_video + n_data],
             total_bytes: vec![0u64; n_video + n_data],
             solve_times,
+            coasted: 0,
         }
     }
 
@@ -556,6 +557,10 @@ pub struct CellStepper {
     second_bytes: Vec<u64>,
     total_bytes: Vec<u64>,
     solve_times: Vec<Duration>,
+    /// TTIs run in closed form by [`CellStepper::coast`]. Kept out of the
+    /// trace registry so traces and telemetry are identical whether or not
+    /// coasting fires.
+    coasted: u64,
 }
 
 impl CellStepper {
@@ -573,6 +578,13 @@ impl CellStepper {
         let n_video = self.sim.video_flows.len();
         let n_data = self.sim.data_flows.len();
         while self.ms < self.duration_ms {
+            let span = self.coast_span();
+            if span > 0 {
+                self.coast(span);
+                if self.ms == self.duration_ms {
+                    break;
+                }
+            }
             let ms = self.ms;
             self.ms += 1;
             let tti_start = Time::from_millis(ms);
@@ -669,6 +681,65 @@ impl CellStepper {
             }
         }
         None
+    }
+
+    /// How many TTIs from `self.ms` on provably change nothing but playback
+    /// buffers and the MAC idle settle, so [`CellStepper::coast`] may run
+    /// them in one step. The span ends before the first TTI at which any
+    /// other state could change: the eNodeB's quiescent window closes (a
+    /// channel may move or a lease falls due), a player would request a
+    /// segment, a per-second sample is taken, the BAI closes, a control
+    /// message falls due, or the run ends.
+    ///
+    /// Always 0 while a segment request is in transport flight or the
+    /// invariant battery is on: a checked run observes every TTI, which
+    /// makes it the per-TTI reference path coasting is tested against.
+    fn coast_span(&self) -> u64 {
+        let sim = &self.sim;
+        if sim.invariants.is_some() || !sim.pending_requests.is_empty() {
+            return 0;
+        }
+        let quiet_ms = sim.enb.quiescent_until().as_millis();
+        if quiet_ms <= self.ms {
+            return 0;
+        }
+        // Sampling runs in TTI `ms` when `(ms + 1) % 1000 == 0`; the BAI
+        // closes in the TTI that takes the countdown to 0.
+        let mut span = (quiet_ms - self.ms)
+            .min(self.duration_ms - self.ms)
+            .min(999 - self.ms % 1000)
+            .min(self.bai_countdown - 1);
+        for player in &sim.players {
+            span = span.min(player.coast_ms());
+            if span == 0 {
+                return 0;
+            }
+        }
+        // A message due at `d` is received by the TTI ending at `d`.
+        if let Some(due) = sim.next_control_delivery() {
+            span = span.min(due.as_millis().saturating_sub(self.ms + 1));
+        }
+        span
+    }
+
+    /// Runs `n` TTIs (at most [`CellStepper::coast_span`]) in closed form:
+    /// every player drains `n` ms of buffer and the eNodeB replays `n` idle
+    /// settles. Deliveries, samples and control-plane polls in the span are
+    /// all provably empty, so they are skipped.
+    fn coast(&mut self, n: u64) {
+        for player in &mut self.sim.players {
+            player.coast(n);
+        }
+        self.sim.enb.skip_quiescent(Time::from_millis(self.ms), n);
+        self.ms += n;
+        self.bai_countdown -= n;
+        self.coasted += n;
+    }
+
+    /// TTIs this stepper has run in closed form so far (see
+    /// [`CellStepper::coast_span`]); the rest were stepped one by one.
+    pub fn coasted_ttis(&self) -> u64 {
+        self.coasted
     }
 
     /// Executes the BAI boundary reached by the last
@@ -1002,6 +1073,12 @@ mod tests {
         assert_eq!(r.installs, 0, "nothing can get through");
         assert!(r.dropped > 0);
         assert!(r.fallback_bais > 0, "clients must notice the dead loop");
+        // Nothing was ever delivered, yet the counter is in the registry.
+        assert!(result
+            .telemetry
+            .counters
+            .iter()
+            .any(|(k, v)| k == "control.delivered" && *v == 0));
         // Playback continues on the fallback policy.
         assert!(result.videos.iter().all(|v| v.stats.segments > 3));
     }

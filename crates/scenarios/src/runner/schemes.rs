@@ -254,6 +254,15 @@ impl CellSim {
         }
     }
 
+    /// When the control plane next delivers a message (`None`: no message
+    /// path, or nothing in flight). Polls before then are no-ops.
+    pub(super) fn next_control_delivery(&self) -> Option<Time> {
+        match &self.controller {
+            Controller::FlareMsg { control, .. } => control.next_delivery(),
+            _ => None,
+        }
+    }
+
     pub(super) fn run_bai(&mut self, now: Time, solve_times: &mut Vec<Duration>) {
         let report = self.enb.take_report(now);
         let check = self.invariants.is_some();

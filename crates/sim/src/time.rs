@@ -45,6 +45,11 @@ impl Time {
     /// The simulation epoch (t = 0).
     pub const ZERO: Time = Time(0);
 
+    /// The end of time: later than every instant a simulation reaches
+    /// (used as "never" by time bounds such as
+    /// `ChannelModel::hold_until`).
+    pub const MAX: Time = Time(u64::MAX);
+
     /// Creates a time from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         Time(ms)

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use flare_core::FlareConfig;
+use flare_core::{FaultModel, FlareConfig, RobustnessConfig};
 use flare_lte::channel::{StaticChannel, TriangleWave};
 use flare_lte::mobility::MobilityConfig;
 use flare_lte::scheduler::{
@@ -23,7 +23,7 @@ use flare_lte::scheduler::{
 };
 use flare_lte::{CellConfig, ENodeB, FlowClass, Itbs};
 use flare_scenarios::cell::cell_config;
-use flare_scenarios::{CellSim, ChannelKind, SchemeKind};
+use flare_scenarios::{CellSim, ChannelKind, SchemeKind, SimConfig};
 use flare_sim::units::{ByteCount, Rate};
 use flare_sim::{Time, TimeDelta};
 
@@ -163,4 +163,39 @@ fn main() {
         "[stepper] one BAI window performed {ops} allocator operations"
     );
     println!("[stepper] one 10 s BAI window (10k TTIs), 0 allocator operations ... ok");
+
+    // The skip-ahead path (DESIGN.md §11): a vehicular FLARE-R cell under
+    // 20% control-message loss, past start-up, coasts through its idle
+    // stretches inside the window — and coasting, like stepping, must not
+    // allocate.
+    let config = SimConfig::builder()
+        .seed(7)
+        .duration(TimeDelta::from_secs(200))
+        .videos(8)
+        .data_flows(0)
+        .channel(ChannelKind::Mobile(MobilityConfig::default()))
+        .scheme(SchemeKind::Flare(
+            FlareConfig::default().with_robustness(RobustnessConfig::default()),
+        ))
+        .faults(FaultModel::perfect().with_drop_prob(0.2))
+        .build();
+    let mut stepper = CellSim::new(config).into_stepper();
+    for _ in 0..12 {
+        stepper.advance_to_bai().expect("warm-up window");
+        stepper.bai_boundary();
+    }
+    let coasted_before = stepper.coasted_ttis();
+    let before = ALLOC_OPS.load(Ordering::Relaxed);
+    let boundary = stepper.advance_to_bai();
+    let ops = ALLOC_OPS.load(Ordering::Relaxed) - before;
+    let coasted = stepper.coasted_ttis() - coasted_before;
+    assert!(boundary.is_some(), "measurement window must close a BAI");
+    assert!(coasted > 0, "coasting never fired in the measured window");
+    assert_eq!(
+        ops, 0,
+        "[skip-ahead] one BAI window performed {ops} allocator operations"
+    );
+    println!(
+        "[skip-ahead] one 10 s BAI window ({coasted} of 10k TTIs coasted), 0 allocator operations ... ok"
+    );
 }
