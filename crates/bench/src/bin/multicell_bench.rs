@@ -4,11 +4,11 @@
 //! multicell_bench [--quick] [--seed K] [--secs S] [OUT.json]
 //! ```
 //!
-//! Compares the pre-existing serial path (sequential `CellSim::run`, one
-//! cell after another) against the sharded [`MultiCellSim`] engine at 1, 2,
-//! 4, and 8 workers, on 32-cell and 128-cell fleets of the fig6 static
-//! workload (8 stationary video UEs under FLARE, 120 s per cell by
-//! default; `--quick` shrinks both fleets and the duration for smoke use).
+//! Runs the sharded [`MultiCellSim`] engine at 1, 2, 4, and 8 workers and
+//! reports each against the 1-worker (serial) run, on 32-cell and 128-cell
+//! fleets of the fig6 static workload (8 stationary video UEs under FLARE,
+//! 120 s per cell by default; `--quick` shrinks both fleets and the
+//! duration for smoke use).
 //!
 //! Before timing anything, the determinism contract is re-proven on a
 //! short traced fleet and the benchmark **refuses to report** otherwise
@@ -25,13 +25,13 @@
 use flare_core::FlareConfig;
 use flare_lte::mobility::MobilityConfig;
 use flare_scenarios::cell::cell_config;
-use flare_scenarios::scaling::{multi_cell_sweep, multi_cell_sweep_uncoordinated};
+use flare_scenarios::scaling::multi_cell_sweep;
 use flare_scenarios::{ChannelKind, MultiCellSim, SchemeKind, SimConfig};
 use flare_sim::TimeDelta;
 
 use flare_bench::parse_params;
 
-/// The same per-cell shape the scaling sweeps simulate: fig6, seeded per
+/// The same per-cell shape the scaling sweep simulates: fig6, seeded per
 /// cell.
 fn fleet_cell(seed: u64, cell: usize, secs: u64) -> SimConfig {
     cell_config(
@@ -97,16 +97,19 @@ fn main() {
     let mut fleet_json = Vec::new();
     for &(cells, secs) in fleets {
         let duration = TimeDelta::from_secs(secs);
-        eprintln!("fleet {cells} x {secs} s: serial baseline ...");
-        let base = multi_cell_sweep_uncoordinated(cells, duration, seed, 1);
-        let mut sharded_json = Vec::new();
-        for jobs in JOBS {
+        let sweeps = JOBS.map(|jobs| {
             eprintln!("fleet {cells} x {secs} s: sharded, {jobs} worker(s) ...");
-            let s = multi_cell_sweep(cells, duration, seed, jobs);
+            multi_cell_sweep(cells, duration, seed, jobs)
+        });
+        // The 1-worker run is the serial baseline.
+        let base = &sweeps[0];
+        let mut sharded_json = Vec::new();
+        for s in &sweeps {
             let speedup = base.wall.as_secs_f64() / s.wall.as_secs_f64().max(1e-9);
             sharded_json.push(format!(
-                "        {{ \"jobs\": {jobs}, \"bai_barriers\": {}, \"wall_ms\": {:.1}, \
+                "        {{ \"jobs\": {}, \"bai_barriers\": {}, \"wall_ms\": {:.1}, \
                  \"ttis_per_sec\": {:.0}, \"speedup_vs_serial\": {speedup:.2} }}",
+                s.jobs,
                 s.barriers,
                 s.wall.as_secs_f64() * 1000.0,
                 s.ttis_per_sec(),

@@ -129,13 +129,12 @@ fn main() {
     if let Some(s) = &sweep {
         json.push_str(&format!(
             ",\n  \"multicell\": {{\n    \"cells\": {},\n    \"cell_secs\": {},\n    \
-             \"jobs\": {},\n    \"coordinated\": {},\n    \"bai_barriers\": {},\n    \
+             \"jobs\": {},\n    \"bai_barriers\": {},\n    \
              \"wall_ms\": {:.1},\n    \"ttis\": {},\n    \
              \"ttis_per_sec\": {:.0}\n  }}",
             s.cells,
             s.duration.as_millis() / 1000,
             s.jobs,
-            s.coordinated,
             s.barriers,
             s.wall.as_secs_f64() * 1000.0,
             s.ttis,

@@ -116,11 +116,6 @@ pub struct FlareConfig {
     pub bai: TimeDelta,
     /// Which solver backs Algorithm 1.
     pub solve_mode: SolveMode,
-    /// Carry solver state across BAIs ([`flare_solver::WarmSolver`]).
-    /// Bit-identical to cold solves — identical assignments, objectives,
-    /// and work counters — so it defaults to on; exact-mode only (the
-    /// relaxed solver has no warm path). Disable to time cold solves.
-    pub warm_start: bool,
     /// Graceful degradation under control-plane faults. `None` (the
     /// default) reproduces the paper exactly: assignments persist forever
     /// and missing statistics simply skip a client.
@@ -136,7 +131,6 @@ impl Default for FlareConfig {
             theta: Rate::from_mbps(0.2),
             bai: TimeDelta::from_secs(10),
             solve_mode: SolveMode::Exact,
-            warm_start: true,
             robustness: None,
         }
     }
@@ -173,12 +167,6 @@ impl FlareConfig {
     /// Returns a copy with a different solver.
     pub fn with_solve_mode(mut self, mode: SolveMode) -> Self {
         self.solve_mode = mode;
-        self
-    }
-
-    /// Returns a copy with warm-started solves enabled or disabled.
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = warm;
         self
     }
 

@@ -54,7 +54,6 @@ mod clock;
 mod config;
 pub mod control;
 pub mod messages;
-mod multicell;
 mod pcrf;
 mod plugin;
 mod server;
@@ -64,7 +63,6 @@ pub use client::{ClientInfo, ClientPrefs};
 pub use clock::{ManualClock, SolveClock, WallClock};
 pub use config::{FlareConfig, RobustnessConfig, SolveMode};
 pub use control::{ControlPlane, ControlPlaneStats, FaultModel, OutageWindow};
-pub use multicell::{CellId, MultiCellServer};
 pub use pcrf::PcrfRegistry;
 pub use plugin::{FlarePlugin, ResilientPlugin};
 pub use server::{Assignment, OneApiServer};

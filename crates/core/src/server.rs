@@ -6,7 +6,7 @@ use flare_has::Level;
 use flare_lte::{FlowClass, FlowId, IntervalReport, Itbs, LinkAdaptation};
 use flare_sim::units::Rate;
 use flare_sim::Time;
-use flare_solver::{round_down, solve_discrete, solve_relaxed, FlowSpec, ProblemSpec, WarmSolver};
+use flare_solver::{round_down, solve_discrete, solve_relaxed, FlowSpec, ProblemSpec};
 use flare_trace::{Category, TraceHandle};
 
 use crate::algorithm::{StabilityFilter, StabilityState};
@@ -59,8 +59,6 @@ pub struct OneApiServer {
     seq: u64,
     /// Clients evicted for prolonged statistics silence (telemetry).
     evicted: u64,
-    /// Exact-mode solver state carried across BAIs (`warm_start`).
-    warm: WarmSolver,
     trace: TraceHandle,
 }
 
@@ -83,7 +81,6 @@ impl OneApiServer {
             last_solve_time: None,
             seq: 0,
             evicted: 0,
-            warm: WarmSolver::new(),
             trace: TraceHandle::disabled(),
         }
     }
@@ -406,21 +403,6 @@ impl OneApiServer {
 
         let started = self.clock.now();
         let solution = match self.config.solve_mode {
-            // The warm path is bit-identical to the cold one (see
-            // `flare_solver::warm`), so this choice never shows up in
-            // events — only in wall time and the warm-hit counters.
-            SolveMode::Exact if self.config.warm_start => {
-                let hits_before = self.warm.hits();
-                let solution = self.warm.solve(spec);
-                if self.trace.is_attached() {
-                    if self.warm.hits() > hits_before {
-                        self.trace.incr("solver.warm_hits", 1);
-                    } else {
-                        self.trace.incr("solver.warm_misses", 1);
-                    }
-                }
-                solution
-            }
             SolveMode::Exact => solve_discrete(&spec),
             SolveMode::Relaxed => round_down(&spec, &solve_relaxed(&spec)),
         };

@@ -15,7 +15,7 @@ use flare_sim::TimeDelta;
 use flare_solver::{round_down, solve_discrete, solve_relaxed, FlowSpec, ProblemSpec};
 use rand::Rng;
 
-use crate::cell::{cell_config, static_run};
+use crate::cell::cell_config;
 use crate::config::{ChannelKind, SchemeKind};
 use crate::multicell::MultiCellSim;
 
@@ -39,54 +39,6 @@ pub fn synthetic_problem(n_clients: usize, seed: u64) -> ProblemSpec {
         .flows(flows)
         .build()
         .expect("valid synthetic spec")
-}
-
-/// Builds `n_bais` *consecutive* per-BAI problems for the same `n_clients`
-/// flows, where each step re-draws only a `churn` fraction of the flows
-/// (channel moved enough to change `bits_per_rb`, or the ABR ladder cap
-/// `max_level` shifted) and leaves the rest byte-identical.
-///
-/// This is the inter-BAI workload the warm-start solver exploits: churn in
-/// a real cell is small between consecutive 10 s BAIs, so most per-flow
-/// state carries over unchanged.
-pub fn synthetic_problem_sequence(
-    n_clients: usize,
-    n_bais: usize,
-    seed: u64,
-    churn: f64,
-) -> Vec<ProblemSpec> {
-    assert!((0.0..=1.0).contains(&churn), "churn is a probability");
-    let mut rng = stream(seed, "scaling-seq", n_clients as u64);
-    let ladder: Vec<f64> = vec![100e3, 250e3, 500e3, 1000e3, 2000e3, 3000e3];
-    let draw = |rng: &mut rand::rngs::SmallRng| {
-        let bits_per_rb: f64 = rng.gen_range(32.0..1424.0);
-        let max_level = rng.gen_range(0..6usize);
-        (bits_per_rb, max_level)
-    };
-    let mut flows: Vec<(f64, usize)> = (0..n_clients).map(|_| draw(&mut rng)).collect();
-    let mut specs = Vec::with_capacity(n_bais);
-    for _ in 0..n_bais {
-        let flow_specs: Vec<FlowSpec> = flows
-            .iter()
-            .map(|&(bits_per_rb, max_level)| {
-                FlowSpec::new(ladder.clone(), 10.0, 0.2e6, 10.0 / bits_per_rb, max_level)
-            })
-            .collect();
-        specs.push(
-            ProblemSpec::builder()
-                .total_rbs(500_000.0)
-                .data_flows(4, 1.0)
-                .flows(flow_specs)
-                .build()
-                .expect("valid synthetic spec"),
-        );
-        for flow in &mut flows {
-            if rng.gen_bool(churn) {
-                *flow = draw(&mut rng);
-            }
-        }
-    }
-    specs
 }
 
 /// Measures `iterations` per-BAI solves with `n_clients` flows, returning
@@ -150,10 +102,7 @@ pub struct MultiCellScaling {
     pub duration: TimeDelta,
     /// Worker threads used (`0` = all cores, `1` = serial).
     pub jobs: usize,
-    /// Whether cells ran under the BAI-barrier coordination loop
-    /// ([`MultiCellSim`]) or as fully independent uncoordinated runs.
-    pub coordinated: bool,
-    /// BAI barriers executed (0 for the uncoordinated path).
+    /// BAI barriers executed by [`MultiCellSim`].
     pub barriers: u64,
     /// Total wall-clock time for the whole sweep.
     pub wall: Duration,
@@ -166,19 +115,6 @@ impl MultiCellScaling {
     pub fn ttis_per_sec(&self) -> f64 {
         self.ttis as f64 / self.wall.as_secs_f64().max(1e-9)
     }
-}
-
-/// The per-cell configuration both sweeps simulate: the fig6 static
-/// scenario (8 stationary video UEs under FLARE), seeded per cell.
-fn sweep_cell_config(seed: u64, cell: usize, duration: TimeDelta) -> crate::config::SimConfig {
-    cell_config(
-        SchemeKind::Flare(FlareConfig::default()),
-        ChannelKind::StationaryRandom(MobilityConfig::default()),
-        8,
-        0,
-        seed + cell as u64,
-        duration,
-    )
 }
 
 /// Simulates `cells` FLARE cells of `duration` each (seeds
@@ -195,8 +131,17 @@ pub fn multi_cell_sweep(
     jobs: usize,
 ) -> MultiCellScaling {
     let started = Instant::now();
+    // Each cell is the fig6 static scenario (8 stationary video UEs under
+    // FLARE), seeded per cell.
     let outcome = MultiCellSim::new(cells, jobs, false, move |i| {
-        sweep_cell_config(seed, i, duration)
+        cell_config(
+            SchemeKind::Flare(FlareConfig::default()),
+            ChannelKind::StationaryRandom(MobilityConfig::default()),
+            8,
+            0,
+            seed + i as u64,
+            duration,
+        )
     })
     .run();
     let wall = started.elapsed();
@@ -215,47 +160,7 @@ pub fn multi_cell_sweep(
         cells,
         duration,
         jobs,
-        coordinated: true,
         barriers: outcome.barriers,
-        wall,
-        ttis: cells as u64 * duration.as_millis(),
-    }
-}
-
-/// The pre-`MultiCellSim` path: `cells` fully independent runs fanned
-/// through [`flare_harness::run_indexed`] with **no coordination barrier**
-/// between them.
-///
-/// Kept (and named accordingly) so its numbers cannot be misread as a
-/// coordination result: each cell runs start-to-finish on whatever worker
-/// picks it up, which is an upper bound no barrier-synchronised engine can
-/// beat. Use [`multi_cell_sweep`] for the coordinated figure.
-pub fn multi_cell_sweep_uncoordinated(
-    cells: usize,
-    duration: TimeDelta,
-    seed: u64,
-    jobs: usize,
-) -> MultiCellScaling {
-    let started = Instant::now();
-    let runs = flare_harness::run_indexed(cells, jobs, |i| {
-        static_run(
-            SchemeKind::Flare(FlareConfig::default()),
-            seed + i as u64,
-            duration,
-        )
-    });
-    let wall = started.elapsed();
-    assert_eq!(runs.len(), cells, "pool must complete every cell");
-    assert!(
-        runs.iter().all(|r| !r.videos.is_empty()),
-        "every cell must simulate its video clients"
-    );
-    MultiCellScaling {
-        cells,
-        duration,
-        jobs,
-        coordinated: false,
-        barriers: 0,
         wall,
         ttis: cells as u64 * duration.as_millis(),
     }
@@ -296,37 +201,9 @@ mod tests {
         let sweep = multi_cell_sweep(2, TimeDelta::from_secs(20), 11, 2);
         assert_eq!(sweep.cells, 2);
         assert_eq!(sweep.ttis, 40_000);
-        assert!(sweep.coordinated);
         assert_eq!(sweep.barriers, 2, "20 s at a 10 s BAI");
         assert!(sweep.wall > Duration::ZERO);
         assert!(sweep.ttis_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn uncoordinated_sweep_is_flagged_as_such() {
-        let sweep = multi_cell_sweep_uncoordinated(2, TimeDelta::from_secs(5), 11, 2);
-        assert!(!sweep.coordinated);
-        assert_eq!(sweep.barriers, 0);
-        assert_eq!(sweep.ttis, 10_000);
-    }
-
-    #[test]
-    fn problem_sequences_churn_as_requested() {
-        let frozen = synthetic_problem_sequence(16, 5, 3, 0.0);
-        assert_eq!(frozen.len(), 5);
-        assert!(
-            frozen.iter().all(|s| *s == frozen[0]),
-            "zero churn must repeat the same spec"
-        );
-        let churned = synthetic_problem_sequence(16, 5, 3, 1.0);
-        assert!(
-            churned.windows(2).all(|w| w[0] != w[1]),
-            "full churn must perturb every BAI"
-        );
-        // Every spec in a sequence stays solvable.
-        for spec in churned.iter().chain(frozen.iter()) {
-            assert!(solve_discrete(spec).objective.is_finite());
-        }
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! module solves the *same* convex program by a structure-agnostic interior
 //! point method: a logarithmic barrier on the resource-block budget plus
 //! cyclic coordinate ascent (per-coordinate golden-section search), with
-//! the barrier weight annealed towards zero. It exists as a dependability
-//! cross-check — property tests assert both solvers land on the same
-//! optimum — and as a fallback if the objective is ever generalized beyond
-//! the closed-form-friendly `β(1 − θ/R)` shape.
+//! the barrier weight annealed towards zero. It is compiled for tests only,
+//! as a dependability cross-check: property tests assert both solvers land
+//! on the same optimum.
 
 use crate::relaxed::ContinuousSolution;
 use crate::spec::ProblemSpec;
@@ -15,7 +14,7 @@ use crate::utility::{data_utility, video_utility};
 
 /// Barrier-method tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BarrierOptions {
+pub(crate) struct BarrierOptions {
     /// Barrier weights, annealed in order (each is the `1/t` factor on the
     /// `ln(budget − used)` term, in objective units).
     pub weights: [f64; 5],
@@ -46,23 +45,7 @@ impl Default for BarrierOptions {
 /// [`crate::solve_relaxed`] (with `price` reported as the data term's
 /// shadow price at the solution). Overloaded instances return the floor
 /// assignment, marked infeasible.
-///
-/// # Example
-///
-/// ```
-/// use flare_solver::{solve_barrier, solve_relaxed, BarrierOptions, FlowSpec, ProblemSpec};
-///
-/// let spec = ProblemSpec::builder()
-///     .total_rbs(500_000.0)
-///     .data_flows(2, 1.0)
-///     .flow(FlowSpec::new(vec![100e3, 500e3, 3000e3], 10.0, 200e3, 0.02, 2))
-///     .build()?;
-/// let a = solve_relaxed(&spec);
-/// let b = solve_barrier(&spec, BarrierOptions::default());
-/// assert!((a.objective - b.objective).abs() < 1e-4);
-/// # Ok::<(), flare_solver::SpecError>(())
-/// ```
-pub fn solve_barrier(spec: &ProblemSpec, options: BarrierOptions) -> ContinuousSolution {
+pub(crate) fn solve_barrier(spec: &ProblemSpec, options: BarrierOptions) -> ContinuousSolution {
     let floors: Vec<f64> = spec.flows().iter().map(|f| f.bounds().0).collect();
     let budget = spec.r_cap() * spec.total_rbs();
     let floor_used: f64 = spec

@@ -3,30 +3,21 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use crate::spec::{FlowSpec, ProblemSpec};
+use crate::spec::ProblemSpec;
 use crate::utility::data_utility;
 use crate::{finish, DiscreteSolution};
 
-/// Precomputes `utility(ladder[l])` for every level of one flow.
-///
-/// The table holds the *same* `f64`s `FlowSpec::utility` would return (a
-/// pure function of `(beta, theta, rate)`), so table-driven evaluation is
-/// bit-identical to inline evaluation — it only trades repeated arithmetic
-/// for a lookup. Note the table does not depend on the flow's `weight` (the
-/// per-bit RB cost): channel churn between BAIs leaves it valid, which is
-/// what [`crate::WarmSolver`] exploits.
-pub(crate) fn level_utils(f: &FlowSpec) -> Vec<f64> {
-    f.ladder().iter().map(|&rate| f.utility(rate)).collect()
-}
-
 /// Incremental evaluation state: video utility sum and RBs consumed.
 ///
-/// `utils[i][l]` must equal `spec.flows()[i].utility(ladder[l])` (see
-/// [`level_utils`]); `cur_penalty` caches `penalty(used_rbs)` for the
-/// current state so `delta` does one penalty evaluation instead of two.
+/// `utils[i][l]` holds `spec.flows()[i].utility(ladder[l])`: the *same*
+/// `f64`s inline evaluation would compute (a pure function of `(beta,
+/// theta, rate)`), so table-driven evaluation is bit-identical to it and
+/// only trades repeated arithmetic for a lookup. `cur_penalty` caches
+/// `penalty(used_rbs)` for the current state so `delta` does one penalty
+/// evaluation instead of two.
 struct Eval<'a> {
     spec: &'a ProblemSpec,
-    utils: &'a [Vec<f64>],
+    utils: Vec<Vec<f64>>,
     levels: Vec<usize>,
     video_util: f64,
     used_rbs: f64,
@@ -34,7 +25,12 @@ struct Eval<'a> {
 }
 
 impl<'a> Eval<'a> {
-    fn new(spec: &'a ProblemSpec, utils: &'a [Vec<f64>]) -> Self {
+    fn new(spec: &'a ProblemSpec) -> Self {
+        let utils = spec
+            .flows()
+            .iter()
+            .map(|f| f.ladder().iter().map(|&rate| f.utility(rate)).collect())
+            .collect();
         let levels: Vec<usize> = spec.flows().iter().map(|f| f.min_level()).collect();
         let mut e = Eval {
             spec,
@@ -133,16 +129,7 @@ impl Eq for Upgrade {}
 /// assignment is returned with a `-inf` objective, matching
 /// [`crate::solve_relaxed`].
 pub fn solve_discrete(spec: &ProblemSpec) -> DiscreteSolution {
-    let utils: Vec<Vec<f64>> = spec.flows().iter().map(level_utils).collect();
-    solve_core(spec, &utils)
-}
-
-/// The shared greedy-ascent + polish core behind [`solve_discrete`] (fresh
-/// tables every call) and [`crate::WarmSolver`] (tables carried across
-/// BAIs). `utils` must satisfy the [`level_utils`] contract for `spec`.
-pub(crate) fn solve_core(spec: &ProblemSpec, utils: &[Vec<f64>]) -> DiscreteSolution {
-    debug_assert_eq!(utils.len(), spec.flows().len());
-    let mut eval = Eval::new(spec, utils);
+    let mut eval = Eval::new(spec);
     if spec.is_overloaded() {
         return finish(spec, eval.levels);
     }

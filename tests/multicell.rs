@@ -1,8 +1,9 @@
 //! One OneAPI server managing two base stations (Section II-A: "A single
 //! OneAPI server can manage multiple BSs, though the bitrates are
-//! calculated independently for each network cell").
+//! calculated independently for each network cell"). Since the bitrates
+//! are computed per cell, the server runs one [`OneApiServer`] per cell.
 
-use flare_core::{CellId, ClientInfo, FlareConfig, MultiCellServer};
+use flare_core::{ClientInfo, FlareConfig, OneApiServer};
 use flare_has::BitrateLadder;
 use flare_lte::channel::StaticChannel;
 use flare_lte::scheduler::TwoPhaseGbr;
@@ -23,6 +24,14 @@ fn cell(itbs: u8, n: usize) -> (ENodeB, Vec<FlowId>) {
     (enb, flows)
 }
 
+fn server(flows: &[FlowId]) -> OneApiServer {
+    let mut server = OneApiServer::new(FlareConfig::default().with_delta(1));
+    for &f in flows {
+        server.register_video(ClientInfo::new(f, BitrateLadder::simulation()));
+    }
+    server
+}
+
 fn run_bai(enb: &mut ENodeB, flows: &[FlowId], bai: u64) -> flare_lte::IntervalReport {
     for &f in flows {
         enb.push_backlog(f, ByteCount::new(50_000_000));
@@ -35,21 +44,13 @@ fn run_bai(enb: &mut ENodeB, flows: &[FlowId], bai: u64) -> flare_lte::IntervalR
 
 #[test]
 fn one_server_drives_two_cells_end_to_end() {
-    // A crowded low-quality cell and a lightly loaded high-quality cell
-    // behind one server: each converges to its own regime, and adding load
-    // to one never perturbs the other (per-cell independence).
+    // A crowded low-quality cell and a lightly loaded high-quality cell,
+    // one per-cell server each: each converges to its own regime, and
+    // adding load to one never perturbs the other (per-cell independence).
     let (mut enb_a, flows_a) = cell(4, 6); // poor, crowded
     let (mut enb_b, flows_b) = cell(20, 2); // great, light
-
-    let mut server = MultiCellServer::new(FlareConfig::default().with_delta(1));
-    server.add_cell(CellId(0));
-    server.add_cell(CellId(1));
-    for &f in &flows_a {
-        server.register_video(CellId(0), ClientInfo::new(f, BitrateLadder::simulation()));
-    }
-    for &f in &flows_b {
-        server.register_video(CellId(1), ClientInfo::new(f, BitrateLadder::simulation()));
-    }
+    let mut server_a = server(&flows_a);
+    let mut server_b = server(&flows_b);
 
     let mut last_a = Vec::new();
     let mut last_b = Vec::new();
@@ -58,8 +59,8 @@ fn one_server_drives_two_cells_end_to_end() {
         let report_a = run_bai(&mut enb_a, &flows_a, bai);
         let report_b = run_bai(&mut enb_b, &flows_b, bai);
         let la = enb_a.link_adaptation().clone();
-        last_a = server.assign(CellId(0), &report_a, &la, 50);
-        last_b = server.assign(CellId(1), &report_b, &la, 50);
+        last_a = server_a.assign(&report_a, &la, 50);
+        last_b = server_b.assign(&report_b, &la, 50);
         // Flow ids are dense per-cell indices (they overlap across cells),
         // so enforcement routes by which assignment list an entry came from.
         for a in &last_a {
@@ -80,19 +81,15 @@ fn one_server_drives_two_cells_end_to_end() {
     );
     assert_eq!(max_b, 5, "light cell should reach the ladder top");
 
-    // Independence: re-running cell B alone, with no cell A registered,
+    // Independence: re-running cell B alone, with no cell A alongside,
     // yields exactly the same trajectory.
     let (mut enb_b2, flows_b2) = cell(20, 2);
-    let mut solo = MultiCellServer::new(FlareConfig::default().with_delta(1));
-    solo.add_cell(CellId(9));
-    for &f in &flows_b2 {
-        solo.register_video(CellId(9), ClientInfo::new(f, BitrateLadder::simulation()));
-    }
+    let mut solo = server(&flows_b2);
     let mut solo_history = Vec::new();
     for bai in 0..20u64 {
         let report = run_bai(&mut enb_b2, &flows_b2, bai);
         let la = enb_b2.link_adaptation().clone();
-        let assignments = solo.assign(CellId(9), &report, &la, 50);
+        let assignments = solo.assign(&report, &la, 50);
         for a in &assignments {
             enb_b2.set_gbr(a.flow, Some(a.rate));
         }
