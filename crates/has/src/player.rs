@@ -230,16 +230,23 @@ impl Player {
     }
 
     /// How many consecutive 1 ms [`Player::step`] calls from now provably
-    /// do nothing but drain the buffer: playback is running, no download is
-    /// in flight, segments remain, and the buffer stays at or above the
-    /// request threshold throughout. 0 when the next step may do anything
-    /// else.
+    /// do nothing but drain the buffer, while playback is running and not
+    /// stalled. 0 when the next step may do anything else.
+    ///
+    /// - With a download in flight: the buffer's milliseconds. Steps cannot
+    ///   request, and the step that would starve the buffer stalls it.
+    ///   [`Player::on_delivered`] may interleave with these steps; only a
+    ///   delivery that completes the segment ends the horizon.
+    /// - With nothing in flight and segments left: the milliseconds until
+    ///   the buffer falls below the request threshold.
     pub fn coast_ms(&self) -> u64 {
-        if !self.started
-            || self.stalled
-            || self.download.is_some()
-            || self.next_segment >= self.mpd.segment_count()
-        {
+        if !self.started || self.stalled {
+            return 0;
+        }
+        if self.download.is_some() {
+            return self.buffer.level().as_millis();
+        }
+        if self.next_segment >= self.mpd.segment_count() {
             return 0;
         }
         self.buffer
@@ -697,6 +704,50 @@ mod tests {
     }
 
     #[test]
+    fn a_download_in_flight_coasts_until_the_buffer_runs_dry() {
+        let mut now = Time::from_secs(100) + TTI;
+        let (mut coasted, mut stepped) = (steady(2_500), steady(2_500));
+        for p in [&mut coasted, &mut stepped] {
+            assert!(p.step(now, TTI).is_some());
+        }
+        assert_eq!(coasted.coast_ms(), 2_499);
+        // Partial deliveries interleave with the horizon without ending it.
+        let chunk = ByteCount::new(100);
+        let mut left = coasted.coast_ms();
+        for piece in [1, 998, 1_500] {
+            coasted.coast(piece);
+            for _ in 0..piece {
+                now += TTI;
+                assert_eq!(stepped.step(now, TTI), None);
+            }
+            assert_eq!(coasted.on_delivered(now, chunk), None);
+            assert_eq!(stepped.on_delivered(now, chunk), None);
+            left -= piece;
+            assert_eq!(coasted.coast_ms(), left);
+            assert_eq!(coasted.buffer_level(), stepped.buffer_level());
+        }
+        // The step after the horizon starves the buffer: both stall.
+        now += TTI;
+        assert_eq!(coasted.step(now, TTI), stepped.step(now, TTI));
+        assert!(coasted.stalled() && stepped.stalled());
+        assert_eq!(coasted.stats(), stepped.stats());
+        assert_eq!(coasted.coast_ms(), 0);
+    }
+
+    #[test]
+    fn completing_the_download_ends_its_horizon() {
+        let now = Time::from_secs(100) + TTI;
+        let mut p = steady(2_500);
+        assert!(p.step(now, TTI).is_some());
+        assert_eq!(p.coast_ms(), 2_499);
+        assert!(p.on_delivered(now, ByteCount::new(u64::MAX / 2)).is_some());
+        // 12.499 s buffered is below the 30 s request threshold: the very
+        // next step requests again.
+        assert_eq!(p.coast_ms(), 0);
+        assert!(p.step(now + TTI, TTI).is_some());
+    }
+
+    #[test]
     fn no_coasting_outside_steady_playback() {
         // Not started yet: the next step may start playback or request.
         assert_eq!(player(2, 600).coast_ms(), 0);
@@ -704,11 +755,16 @@ mod tests {
         let mut p = steady(40_000);
         p.stalled = true;
         assert_eq!(p.coast_ms(), 0);
-        // Download in flight: deliveries complete it.
-        let mut p = steady(20_000);
-        assert!(p.step(Time::from_secs(100), TTI).is_some());
-        p.buffer.push(TimeDelta::from_secs(20));
+        // Start-up download in flight: the step after its completion
+        // starts playback.
+        let mut p = player(2, 600);
+        assert!(p.step(Time::ZERO + TTI, TTI).is_some());
         assert!(p.downloading());
+        assert_eq!(p.coast_ms(), 0);
+        // Stalled with a download in flight: every step accrues underflow.
+        let mut p = steady(0);
+        assert!(p.step(Time::from_secs(100), TTI).is_some());
+        assert!(p.stalled() && p.downloading());
         assert_eq!(p.coast_ms(), 0);
         // Every segment fetched: the run's tail is not coasted.
         let mut p = steady(40_000);

@@ -8,7 +8,7 @@
 //! tries to clear, and the MBR bucket caps how many bytes a flow may receive.
 
 use flare_sim::units::{ByteCount, Rate};
-use flare_sim::{Time, TimeDelta};
+use flare_sim::{Time, TimeDelta, TTI};
 
 /// Per-bearer QoS configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -48,6 +48,10 @@ pub struct TokenBucket {
     /// `rate × burst_window` in bytes, recomputed only when the rate
     /// changes so the per-TTI clamp is a compare, not two multiplies.
     cap: f64,
+    /// Tokens one 1 ms TTI accrues, by the expression
+    /// [`TokenBucket::advance`] applies to any span, recomputed with the
+    /// cap: the per-TTI advance then skips its float division.
+    accrual_per_tti: f64,
     tokens: f64,
     last: Time,
 }
@@ -64,7 +68,8 @@ impl TokenBucket {
         TokenBucket {
             rate,
             burst_window,
-            cap: rate.as_bps() * burst_window.as_secs_f64() / 8.0,
+            cap: accrual(rate, burst_window),
+            accrual_per_tti: accrual(rate, TTI),
             tokens: 0.0,
             last: Time::ZERO,
         }
@@ -74,7 +79,8 @@ impl TokenBucket {
     /// GBR Updater path).
     pub fn set_rate(&mut self, rate: Rate) {
         self.rate = rate;
-        self.cap = rate.as_bps() * self.burst_window.as_secs_f64() / 8.0;
+        self.cap = accrual(rate, self.burst_window);
+        self.accrual_per_tti = accrual(rate, TTI);
         self.clamp_to_burst();
     }
 
@@ -97,7 +103,11 @@ impl TokenBucket {
             return;
         }
         let dt = now.saturating_since(self.last);
-        self.tokens += self.rate.as_bps() * dt.as_secs_f64() / 8.0;
+        self.tokens += if dt == TTI {
+            self.accrual_per_tti
+        } else {
+            accrual(self.rate, dt)
+        };
         self.last = now;
         self.clamp_to_burst();
     }
@@ -130,6 +140,11 @@ impl TokenBucket {
     pub fn drain(&mut self) {
         self.tokens = 0.0;
     }
+}
+
+/// Bytes `rate` accrues over `dt`.
+fn accrual(rate: Rate, dt: TimeDelta) -> f64 {
+    rate.as_bps() * dt.as_secs_f64() / 8.0
 }
 
 #[cfg(test)]
@@ -174,6 +189,31 @@ mod tests {
         // New cap = 800 kbps * 0.1 s / 8 = 10,000 bytes.
         assert_eq!(tb.available(), ByteCount::new(10_000));
         assert_eq!(tb.rate(), Rate::from_kbps(800.0));
+    }
+
+    proptest::proptest! {
+        /// The cached 1 ms accrual is bit-identical to the expression
+        /// every other span uses, before and after a rate change.
+        #[test]
+        fn per_tti_advances_accrue_the_uncached_expression(
+            bps in 0.0f64..50_000_000.0,
+            new_bps in 1_000_000.0f64..50_000_000.0,
+            ttis in 1u64..400,
+        ) {
+            let uncached = |bps: f64| bps * TimeDelta::from_millis(1).as_secs_f64() / 8.0;
+            // A burst window no accrual here reaches, so nothing clamps.
+            let mut tb = TokenBucket::new(Rate::from_bps(bps), TimeDelta::from_secs(1_000));
+            let mut tokens = 0.0;
+            for ms in 1..=ttis {
+                tb.advance(Time::from_millis(ms));
+                tokens += uncached(bps);
+                proptest::prop_assert_eq!(tb.tokens.to_bits(), tokens.to_bits());
+            }
+            tb.set_rate(Rate::from_bps(new_bps));
+            tb.advance(Time::from_millis(ttis + 1));
+            tokens += uncached(new_bps);
+            proptest::prop_assert_eq!(tb.tokens.to_bits(), tokens.to_bits());
+        }
     }
 
     #[test]

@@ -64,6 +64,11 @@ struct FlowState {
     // Lifetime counters.
     total_bytes: ByteCount,
     last_itbs: Itbs,
+    /// The channel's [`ChannelModel::hold_until`] after its last poll
+    /// ([`Time::ZERO`] when it promised no hold): TTIs before this time
+    /// reuse `last_itbs` without polling, and the channel catches up
+    /// lazily at the first poll after it.
+    channel_hold: Time,
     /// Memoized `bits_per_rb(last_itbs)`; refreshed only when the fading
     /// process actually moves the index (the channel→iTbs→TBS cache).
     cached_bits_per_rb: f64,
@@ -176,6 +181,7 @@ impl ENodeB {
             interval_bytes: ByteCount::ZERO,
             total_bytes: ByteCount::ZERO,
             last_itbs: initial_itbs,
+            channel_hold: Time::ZERO,
             cached_bits_per_rb,
         });
         id
@@ -382,10 +388,13 @@ impl ENodeB {
         self.tti_states.clear();
         let mut any_backlog = false;
         for (i, st) in self.flows.iter_mut().enumerate() {
-            let itbs = st.channel.itbs_at(now);
-            if itbs != st.last_itbs {
-                st.last_itbs = itbs;
-                st.cached_bits_per_rb = self.config.link_adaptation.bits_per_rb(itbs);
+            if now >= st.channel_hold {
+                let itbs = st.channel.itbs_at(now);
+                st.channel_hold = st.channel.hold_until().unwrap_or(Time::ZERO);
+                if itbs != st.last_itbs {
+                    st.last_itbs = itbs;
+                    st.cached_bits_per_rb = self.config.link_adaptation.bits_per_rb(itbs);
+                }
             }
             if let Some(b) = st.gbr_bucket.as_mut() {
                 b.advance(now);
@@ -498,10 +507,12 @@ impl ENodeB {
         for st in &self.flows {
             let buckets_full = st.gbr_bucket.as_ref().is_none_or(TokenBucket::is_full)
                 && st.mbr_bucket.as_ref().is_none_or(TokenBucket::is_full);
-            let Some(hold) = st.channel.hold_until().filter(|_| buckets_full) else {
+            if !buckets_full || st.channel_hold == Time::ZERO {
                 return Time::ZERO;
-            };
-            until = until.min(hold).min(st.gbr_expires.unwrap_or(Time::MAX));
+            }
+            until = until
+                .min(st.channel_hold)
+                .min(st.gbr_expires.unwrap_or(Time::MAX));
         }
         until
     }

@@ -47,17 +47,33 @@ pub struct FlowTtiState {
 }
 
 impl FlowTtiState {
-    /// RBs needed to move `bytes` at this flow's current operating point.
+    /// RBs needed to move `bytes` at this flow's current operating point:
+    /// `⌈bits / bits_per_rb⌉`, saturating at `u32::MAX`.
     pub fn rbs_for_bytes(&self, bytes: ByteCount) -> u32 {
         if bytes.is_zero() {
             return 0;
         }
-        ((bytes.as_bits() as f64) / self.bits_per_rb).ceil() as u32
+        ceil_u32((bytes.as_bits() as f64) / self.bits_per_rb)
     }
 
-    /// Whole bytes deliverable with `rbs` resource blocks.
+    /// Whole bytes deliverable with `rbs` resource blocks:
+    /// `⌊bits_per_rb · rbs / 8⌋`.
     pub fn bytes_for_rbs(&self, rbs: u32) -> ByteCount {
-        ByteCount::new((self.bits_per_rb * f64::from(rbs) / 8.0).floor() as u64)
+        // `as u64` truncates toward zero and saturates, which is exactly
+        // `floor() as u64` for every f64 (negatives and NaN both give 0).
+        ByteCount::new((self.bits_per_rb * f64::from(rbs) / 8.0) as u64)
+    }
+}
+
+/// `x.ceil() as u32` for every `f64`, without the libm call: the
+/// saturating cast truncates, and a truncation below `x` rounds up.
+/// NaN and negatives give 0, values past `u32::MAX` saturate.
+fn ceil_u32(x: f64) -> u32 {
+    let t = x as u32;
+    if f64::from(t) < x {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -155,14 +171,23 @@ impl PfAverages {
     /// Folds one TTI's delivered bits into the average of every flow.
     pub(crate) fn update(&mut self, flow: FlowId, delivered_bits: f64) {
         self.ensure(flow);
-        let a = &mut self.avgs[flow.index()];
-        // IEEE: `x + 0.0 == x` for the non-negative averages, so a zero
-        // delivery is a pure decay — same value, half the flops.
-        if delivered_bits == 0.0 {
-            *a *= self.decay;
-        } else {
-            *a = self.decay * *a + self.gain * delivered_bits * 1000.0;
-        }
+        ewma_step(
+            &mut self.avgs[flow.index()],
+            self.decay,
+            self.gain,
+            delivered_bits,
+        );
+    }
+}
+
+/// One TTI of the PF throughput EWMA for one flow.
+fn ewma_step(avg: &mut f64, decay: f64, gain: f64, delivered_bits: f64) {
+    // IEEE: `x + 0.0 == x` for the non-negative averages, so a zero
+    // delivery is a pure decay — same value, half the flops.
+    if delivered_bits == 0.0 {
+        *avg *= decay;
+    } else {
+        *avg = decay * *avg + gain * delivered_bits * 1000.0;
     }
 }
 
@@ -200,6 +225,11 @@ impl PfScratch {
 /// on the averages, which this pass never mutates, so they are computed
 /// once per call instead of once per argmax iteration — same floats, same
 /// selections. Returns the RBs still free.
+///
+/// With no RBs left the pass grants nothing and returns at once: the
+/// metrics it would compute are only read by the argmax, and the
+/// averages' lazy growth is left to [`settle_averages`], which runs after
+/// every pass.
 pub(crate) fn pf_pass(
     averages: &mut PfAverages,
     mut rbs_left: u32,
@@ -208,6 +238,9 @@ pub(crate) fn pf_pass(
     grants: &mut Vec<RbAllocation>,
     scratch: &mut PfScratch,
 ) -> u32 {
+    if rbs_left == 0 {
+        return 0;
+    }
     let flow_at = |j: usize| match eligible {
         Some(idx) => &flows[idx[j]],
         None => &flows[j],
@@ -295,21 +328,34 @@ pub(crate) fn settle_all_idle(averages: &mut PfAverages, flows: &[FlowTtiState])
 }
 
 /// Folds one TTI's outcome into the PF averages for all flows.
+///
+/// One flat pass over the averages table, grown once up front; each
+/// average takes exactly the [`PfAverages::update`] step.
 pub(crate) fn settle_averages(
     averages: &mut PfAverages,
     flows: &[FlowTtiState],
     scratch: &PfScratch,
 ) {
+    let Some(top) = flows.iter().map(|f| f.flow).max() else {
+        return;
+    };
+    averages.ensure(top);
+    let (decay, gain) = (averages.decay, averages.gain);
     for f in flows {
         let rbs = scratch.granted(f.flow);
         // `bytes_for_rbs(0)` is exactly zero, so ungranted flows fold in a
         // pure decay without the float round-trip.
-        let delivered = if rbs == 0 {
-            ByteCount::ZERO
+        let delivered_bits = if rbs == 0 {
+            0.0
         } else {
-            f.bytes_for_rbs(rbs).min(f.backlog)
+            f.bytes_for_rbs(rbs).min(f.backlog).as_bits() as f64
         };
-        averages.update(f.flow, delivered.as_bits() as f64);
+        ewma_step(
+            &mut averages.avgs[f.flow.index()],
+            decay,
+            gain,
+            delivered_bits,
+        );
     }
 }
 
@@ -361,6 +407,128 @@ mod tests {
         assert_eq!(f.rbs_for_bytes(ByteCount::new(16)), 1);
         assert_eq!(f.rbs_for_bytes(ByteCount::new(17)), 2);
         assert_eq!(f.bytes_for_rbs(2), ByteCount::new(32));
+    }
+
+    /// The libm forms the integer rounding replaced, kept as the oracle.
+    fn libm_rbs_for_bytes(bits_per_rb: f64, bytes: ByteCount) -> u32 {
+        if bytes.is_zero() {
+            return 0;
+        }
+        ((bytes.as_bits() as f64) / bits_per_rb).ceil() as u32
+    }
+
+    fn libm_bytes_for_rbs(bits_per_rb: f64, rbs: u32) -> ByteCount {
+        ByteCount::new((bits_per_rb * f64::from(rbs) / 8.0).floor() as u64)
+    }
+
+    /// Asserts the integer rounding equals the libm forms at one operating
+    /// point, for `bytes` and `rbs` as well as the bytes of whole RBs.
+    fn assert_rounding_matches(bits_per_rb: f64, bytes: u64, rbs: u32) {
+        let f = flow(0, FlowClass::Video, 0, bits_per_rb, 0);
+        let b = ByteCount::new(bytes);
+        assert_eq!(
+            f.rbs_for_bytes(b),
+            libm_rbs_for_bytes(bits_per_rb, b),
+            "rbs_for_bytes({bytes}) at {bits_per_rb:?} bits/RB"
+        );
+        assert_eq!(
+            f.bytes_for_rbs(rbs),
+            libm_bytes_for_rbs(bits_per_rb, rbs),
+            "bytes_for_rbs({rbs}) at {bits_per_rb:?} bits/RB"
+        );
+        // Exact multiples: the bytes `rbs` whole RBs carry, and one more.
+        let whole = f.bytes_for_rbs(rbs).as_u64();
+        for b in [whole, whole.saturating_add(1)].map(ByteCount::new) {
+            assert_eq!(f.rbs_for_bytes(b), libm_rbs_for_bytes(bits_per_rb, b));
+        }
+    }
+
+    #[test]
+    fn ceil_u32_edge_cases_match_libm() {
+        let max = f64::from(u32::MAX);
+        for x in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0 - f64::EPSILON,
+            1e9,
+            max - 0.5,
+            max,
+            max + 0.5,
+            max + 1.0,
+            1e300,
+        ] {
+            assert_eq!(ceil_u32(x), x.ceil() as u32, "ceil_u32({x:?})");
+        }
+    }
+
+    #[test]
+    fn integer_rounding_edge_cases_match_libm() {
+        let la = crate::LinkAdaptation::default();
+        for bits_per_rb in [
+            la.bits_per_rb(crate::Itbs::new(0)),
+            la.bits_per_rb(crate::Itbs::new(crate::ITBS_MAX)),
+            128.0,
+            0.0,
+            -64.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+        ] {
+            // 0 bytes, 0 RBs, exact multiples of 8 and 16 bytes, and sizes
+            // whose RB count saturates u32 (including the saturating
+            // `as_bits` of a near-u64::MAX byte count).
+            for bytes in [0, 1, 16, 17, 1 << 40, u64::MAX / 8, u64::MAX] {
+                for rbs in [0, 1, 2, 50, u32::MAX] {
+                    assert_rounding_matches(bits_per_rb, bytes, rbs);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+        /// The integer `rbs_for_bytes`/`bytes_for_rbs`/`bytes_per_tti`
+        /// equal the libm `ceil`/`floor` forms: at every
+        /// `LinkAdaptation` entry (under a random MIMO gain), at a random
+        /// positive bits-per-RB, and at an arbitrary f64 bit pattern (NaN,
+        /// infinities, subnormals, negatives).
+        #[test]
+        fn integer_rounding_matches_libm(
+            mimo in 0.01f64..=8.0,
+            bytes in 0u64..=u64::MAX,
+            small_bytes in 0u64..2_000_000,
+            rbs in 0u32..=u32::MAX,
+            small_rbs in 0u32..=100,
+            (random_bits, raw_bits) in (0.001f64..100_000.0, 0u64..=u64::MAX),
+        ) {
+            let la = crate::LinkAdaptation::new(mimo);
+            for i in 0..=crate::ITBS_MAX {
+                let itbs = crate::Itbs::new(i);
+                let bits_per_rb = la.bits_per_rb(itbs);
+                for n in [small_rbs, rbs] {
+                    proptest::prop_assert_eq!(
+                        la.bytes_per_tti(itbs, n),
+                        libm_bytes_for_rbs(bits_per_rb, n)
+                    );
+                }
+                assert_rounding_matches(bits_per_rb, small_bytes, small_rbs);
+                assert_rounding_matches(bits_per_rb, bytes, rbs);
+            }
+            for bits_per_rb in [random_bits, f64::from_bits(raw_bits)] {
+                assert_rounding_matches(bits_per_rb, small_bytes, small_rbs);
+                assert_rounding_matches(bits_per_rb, bytes, rbs);
+            }
+        }
     }
 
     #[test]

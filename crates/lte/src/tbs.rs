@@ -131,7 +131,8 @@ impl LinkAdaptation {
 
     /// Deliverable whole bytes for `n_rb` PRBs over one TTI.
     pub fn bytes_per_tti(&self, itbs: Itbs, n_rb: u32) -> ByteCount {
-        ByteCount::new((self.bits_per_rb(itbs) * f64::from(n_rb) / 8.0).floor() as u64)
+        // Truncating `as u64` is `floor() as u64` for every f64.
+        ByteCount::new((self.bits_per_rb(itbs) * f64::from(n_rb) / 8.0) as u64)
     }
 
     /// The downlink rate sustained if a UE at `itbs` received all `n_rb` RBs

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use flare_abr::CoordinationMode;
 use flare_harness::{InvariantSet, Observation};
-use flare_has::{Mpd, Player, PlayerStats};
+use flare_has::{Mpd, Player, PlayerStats, SegmentRequest};
 use flare_lte::channel::{ChannelModel, StaticChannel, TraceChannel, TriangleWave};
 use flare_lte::mobility::{snr_to_itbs, MobilityChannel, Position};
 use flare_lte::scheduler::{
@@ -192,6 +192,55 @@ impl RunResult {
     }
 }
 
+/// A video player with a lazy playback clock (DESIGN.md §11).
+///
+/// Between real [`Player::step`] calls the player owes the 1 ms steps of
+/// every TTI since `synced_ms`. Each of them before `due_ms` provably only
+/// drains the buffer ([`Player::coast_ms`]), so they are run in one
+/// [`Player::coast`] whenever the player's state is read or changed.
+struct LazyPlayer {
+    player: Player,
+    /// The end (in ms) of the last TTI the player has been stepped through.
+    synced_ms: u64,
+    /// The end (in ms) of the first TTI whose step may do more than drain
+    /// the buffer, so must be a real [`Player::step`].
+    due_ms: u64,
+}
+
+impl LazyPlayer {
+    fn new(player: Player) -> Self {
+        // A fresh player has not started: its first step is a real one.
+        LazyPlayer {
+            player,
+            synced_ms: 0,
+            due_ms: 1,
+        }
+    }
+
+    /// Runs the owed steps of the TTIs ending up to `end_ms` (all before
+    /// `due_ms`) in closed form.
+    fn sync(&mut self, end_ms: u64) {
+        debug_assert!(end_ms < self.due_ms, "sync past a real step");
+        self.player.coast(end_ms - self.synced_ms);
+        self.synced_ms = end_ms;
+    }
+
+    /// Brings the player up to the TTI ending at `end_ms` and steps that
+    /// TTI for real.
+    fn step(&mut self, end_ms: u64) -> Option<SegmentRequest> {
+        self.sync(end_ms - 1);
+        let req = self.player.step(Time::from_millis(end_ms), TTI);
+        self.synced_ms = end_ms;
+        self.rearm();
+        req
+    }
+
+    /// Recomputes `due_ms` after the player's state changed at `synced_ms`.
+    fn rearm(&mut self) {
+        self.due_ms = self.synced_ms + self.player.coast_ms() + 1;
+    }
+}
+
 /// A fully wired single-cell simulation. Construct with [`CellSim::new`],
 /// execute with [`CellSim::run`].
 pub struct CellSim {
@@ -199,7 +248,7 @@ pub struct CellSim {
     enb: ENodeB,
     video_flows: Vec<FlowId>,
     data_flows: Vec<FlowId>,
-    players: Vec<Player>,
+    players: Vec<LazyPlayer>,
     controller: Controller,
     /// Per-UE RNG streams for transport request jitter.
     jitter_rngs: Vec<rand::rngs::SmallRng>,
@@ -279,7 +328,7 @@ impl CellSim {
 
         let mut cells = Vec::new();
         let mut versioned_cells = Vec::new();
-        let mut players: Vec<Player> = (0..config.n_video)
+        let mut players: Vec<LazyPlayer> = (0..config.n_video)
             .map(|i| {
                 let adapter = schemes::player_adapter(
                     &config.scheme,
@@ -288,7 +337,7 @@ impl CellSim {
                     &mut cells,
                     &mut versioned_cells,
                 );
-                Player::new(mpd(i), config.player.clone(), adapter)
+                LazyPlayer::new(Player::new(mpd(i), config.player.clone(), adapter))
             })
             .collect();
 
@@ -307,8 +356,8 @@ impl CellSim {
         let jitter_rngs = (0..config.n_video as u64)
             .map(|ue| stream(config.seed, "jitter", ue))
             .collect();
-        for (i, player) in players.iter_mut().enumerate() {
-            player.set_trace(trace.clone(), i as u64);
+        for (i, lazy) in players.iter_mut().enumerate() {
+            lazy.player.set_trace(trace.clone(), i as u64);
         }
         let invariants = config.check_invariants.then(|| {
             InvariantSet::standard()
@@ -319,7 +368,7 @@ impl CellSim {
         // One segment per `segment` interval per player bounds the record
         // count; reserving it up front keeps steady-state stepping
         // allocation-free (see `tests/alloc.rs`).
-        for player in &mut players {
+        for LazyPlayer { player, .. } in &mut players {
             player.reserve_records(player.mpd().segment_count() as usize);
         }
         CellSim {
@@ -456,6 +505,8 @@ impl CellSim {
             total_bytes: vec![0u64; n_video + n_data],
             solve_times,
             coasted: 0,
+            players_due: 1,
+            player_steps: 0,
         }
     }
 
@@ -513,7 +564,7 @@ impl CellSim {
             }
         }
         let resume_threshold_ms = self.config.player.resume_threshold.as_millis() as i64;
-        for (i, player) in self.players.iter().enumerate() {
+        for (i, LazyPlayer { player, .. }) in self.players.iter().enumerate() {
             self.obs_scratch.push(Observation::PlayerState {
                 ue: i as u64,
                 buffer_ms: player.buffer_level().as_millis() as i64,
@@ -561,6 +612,12 @@ pub struct CellStepper {
     /// trace registry so traces and telemetry are identical whether or not
     /// coasting fires.
     coasted: u64,
+    /// The earliest `LazyPlayer::due_ms`: no player needs a real step in a
+    /// TTI ending before it.
+    players_due: u64,
+    /// Real [`Player::step`] calls so far (see
+    /// [`CellStepper::lazy_player_ms`]).
+    player_steps: u64,
 }
 
 impl CellStepper {
@@ -587,46 +644,33 @@ impl CellStepper {
             }
             let ms = self.ms;
             self.ms += 1;
+            let end_ms = ms + 1;
             let tti_start = Time::from_millis(ms);
-            let tti_end = Time::from_millis(ms + 1);
+            let tti_end = Time::from_millis(end_ms);
 
             // 1. Players play back 1 ms and may issue a segment request.
-            let jitter_ms = self.sim.config.request_jitter.as_millis();
-            for (i, player) in self.sim.players.iter_mut().enumerate() {
-                if let Some(req) = player.step(tti_end, TTI) {
-                    if jitter_ms == 0 {
-                        self.sim
-                            .enb
-                            .push_backlog(self.sim.video_flows[i], req.bytes);
-                    } else {
-                        // The request spends a transport-dependent time in
-                        // flight before bytes appear at the eNodeB.
-                        let delay = self.sim.jitter_rngs[i].gen_range(0..=jitter_ms);
-                        self.sim.pending_requests.push((
-                            tti_end + TimeDelta::from_millis(delay),
-                            i,
-                            req.bytes,
-                        ));
-                    }
-                    self.rate_series[i].push(
-                        tti_end.as_secs_f64(),
-                        self.sim.config.ladder.rate(req.level).as_kbps(),
-                    );
-                }
+            // Only players whose horizon ran out are stepped; the rest owe
+            // pure buffer drains (see `LazyPlayer`), except in a checked
+            // run, which observes every player every TTI.
+            let every_tti = self.sim.invariants.is_some();
+            if every_tti || end_ms >= self.players_due {
+                self.step_players(end_ms, every_tti);
             }
             if !self.sim.pending_requests.is_empty() {
-                let due: Vec<(Time, usize, ByteCount)> = {
-                    let (due, rest): (Vec<_>, Vec<_>) = self
-                        .sim
-                        .pending_requests
-                        .drain(..)
-                        .partition(|(at, _, _)| *at <= tti_end);
-                    self.sim.pending_requests = rest;
-                    due
-                };
-                for (_, i, bytes) in due {
-                    self.sim.enb.push_backlog(self.sim.video_flows[i], bytes);
-                }
+                // Move due requests out in place, in arrival order.
+                let CellSim {
+                    enb,
+                    video_flows,
+                    pending_requests,
+                    ..
+                } = &mut self.sim;
+                pending_requests.retain(|&(at, i, bytes)| {
+                    let due = at <= tti_end;
+                    if due {
+                        enb.push_backlog(video_flows[i], bytes);
+                    }
+                    !due
+                });
             }
 
             // 2. One TTI of MAC scheduling and delivery. When invariants are
@@ -642,7 +686,14 @@ impl CellStepper {
                 self.second_bytes[idx] += d.bytes.as_u64();
                 self.total_bytes[idx] += d.bytes.as_u64();
                 if idx < n_video {
-                    self.sim.players[idx].on_delivered(tti_end, d.bytes);
+                    // A lagging player catches up before the delivery; the
+                    // one that completes its segment gets a new horizon.
+                    let lazy = &mut self.sim.players[idx];
+                    lazy.sync(end_ms);
+                    if lazy.player.on_delivered(tti_end, d.bytes).is_some() {
+                        lazy.rearm();
+                        self.players_due = self.players_due.min(lazy.due_ms);
+                    }
                 }
             }
             if self.sim.invariants.is_some() {
@@ -650,10 +701,12 @@ impl CellStepper {
             }
 
             // 3. Per-second sampling.
-            if (ms + 1).is_multiple_of(1000) {
+            if end_ms.is_multiple_of(1000) {
                 let t = tti_end.as_secs_f64();
                 for i in 0..n_video {
-                    self.buffer_series[i].push(t, self.sim.players[i].buffer_level().as_secs_f64());
+                    let lazy = &mut self.sim.players[i];
+                    lazy.sync(end_ms);
+                    self.buffer_series[i].push(t, lazy.player.buffer_level().as_secs_f64());
                     self.video_tput[i].push(
                         t,
                         ByteCount::new(self.second_bytes[i]).as_bits() as f64 / 1000.0,
@@ -687,8 +740,8 @@ impl CellStepper {
     /// buffers and the MAC idle settle, so [`CellStepper::coast`] may run
     /// them in one step. The span ends before the first TTI at which any
     /// other state could change: the eNodeB's quiescent window closes (a
-    /// channel may move or a lease falls due), a player would request a
-    /// segment, a per-second sample is taken, the BAI closes, a control
+    /// channel may move or a lease falls due), a player's horizon ends
+    /// ([`Player::coast_ms`]), a per-second sample is taken, the BAI closes, a control
     /// message falls due, or the run ends.
     ///
     /// Always 0 while a segment request is in transport flight or the
@@ -704,17 +757,13 @@ impl CellStepper {
             return 0;
         }
         // Sampling runs in TTI `ms` when `(ms + 1) % 1000 == 0`; the BAI
-        // closes in the TTI that takes the countdown to 0.
+        // closes in the TTI that takes the countdown to 0. Player steps
+        // before `players_due` are pure drains the lazy clocks defer.
         let mut span = (quiet_ms - self.ms)
             .min(self.duration_ms - self.ms)
             .min(999 - self.ms % 1000)
-            .min(self.bai_countdown - 1);
-        for player in &sim.players {
-            span = span.min(player.coast_ms());
-            if span == 0 {
-                return 0;
-            }
-        }
+            .min(self.bai_countdown - 1)
+            .min(self.players_due - (self.ms + 1));
         // A message due at `d` is received by the TTI ending at `d`.
         if let Some(due) = sim.next_control_delivery() {
             span = span.min(due.as_millis().saturating_sub(self.ms + 1));
@@ -723,13 +772,11 @@ impl CellStepper {
     }
 
     /// Runs `n` TTIs (at most [`CellStepper::coast_span`]) in closed form:
-    /// every player drains `n` ms of buffer and the eNodeB replays `n` idle
-    /// settles. Deliveries, samples and control-plane polls in the span are
-    /// all provably empty, so they are skipped.
+    /// the eNodeB replays `n` idle settles and every player's lazy clock
+    /// falls `n` ms further behind. Player steps, deliveries, samples and
+    /// control-plane polls in the span are all provably pure drains or
+    /// empty, so they are skipped.
     fn coast(&mut self, n: u64) {
-        for player in &mut self.sim.players {
-            player.coast(n);
-        }
         self.sim.enb.skip_quiescent(Time::from_millis(self.ms), n);
         self.ms += n;
         self.bai_countdown -= n;
@@ -740,6 +787,50 @@ impl CellStepper {
     /// [`CellStepper::coast_span`]); the rest were stepped one by one.
     pub fn coasted_ttis(&self) -> u64 {
         self.coasted
+    }
+
+    /// Player-milliseconds run so far without a [`Player::step`] of their
+    /// own: the pure buffer drains the players' lazy clocks deferred,
+    /// inside coasted spans and busy TTIs alike. Like
+    /// [`CellStepper::coasted_ttis`], kept out of the trace registry.
+    pub fn lazy_player_ms(&self) -> u64 {
+        self.sim.players.len() as u64 * self.ms - self.player_steps
+    }
+
+    /// Steps, for real, each player whose horizon ends with the TTI ending
+    /// at `end_ms` (every player when `every_tti`), forwards their segment
+    /// requests, and recomputes the earliest horizon.
+    fn step_players(&mut self, end_ms: u64, every_tti: bool) {
+        let tti_end = Time::from_millis(end_ms);
+        let jitter_ms = self.sim.config.request_jitter.as_millis();
+        let mut players_due = u64::MAX;
+        for (i, lazy) in self.sim.players.iter_mut().enumerate() {
+            if every_tti || end_ms >= lazy.due_ms {
+                self.player_steps += 1;
+                if let Some(req) = lazy.step(end_ms) {
+                    if jitter_ms == 0 {
+                        self.sim
+                            .enb
+                            .push_backlog(self.sim.video_flows[i], req.bytes);
+                    } else {
+                        // The request spends a transport-dependent time in
+                        // flight before bytes appear at the eNodeB.
+                        let delay = self.sim.jitter_rngs[i].gen_range(0..=jitter_ms);
+                        self.sim.pending_requests.push((
+                            tti_end + TimeDelta::from_millis(delay),
+                            i,
+                            req.bytes,
+                        ));
+                    }
+                    self.rate_series[i].push(
+                        tti_end.as_secs_f64(),
+                        self.sim.config.ladder.rate(req.level).as_kbps(),
+                    );
+                }
+            }
+            players_due = players_due.min(lazy.due_ms);
+        }
+        self.players_due = players_due;
     }
 
     /// Executes the BAI boundary reached by the last
@@ -771,7 +862,7 @@ impl CellStepper {
         let n_data = self.sim.data_flows.len();
         let videos = (0..n_video)
             .map(|i| {
-                let stats: PlayerStats = self.sim.players[i].stats();
+                let stats: PlayerStats = self.sim.players[i].player.stats();
                 VideoFlowResult {
                     index: i,
                     stats,
@@ -1190,6 +1281,68 @@ mod tests {
         });
         assert!(recorded, "violation must surface as a structured event");
         assert_eq!(trace.snapshot().counter("invariant.violations"), 1);
+    }
+
+    /// Media shorter than the run: players fetch every segment, play the
+    /// buffer out and go idle. The runner sizes media past the run, so the
+    /// players are swapped for short-media ones before the first TTI. With
+    /// and without invariants (the per-TTI player path) the runs agree.
+    #[test]
+    fn lazy_players_match_per_tti_players_past_the_media_end() {
+        let run = |check: bool| {
+            let trace = TraceHandle::new(TraceConfig::debug());
+            let config = SimConfig::builder()
+                .seed(3)
+                .duration(TimeDelta::from_secs(150))
+                .videos(3)
+                .data_flows(0)
+                .channel(ChannelKind::Static { itbs: 10 })
+                .scheme(SchemeKind::Festive)
+                .trace(trace.clone())
+                .check_invariants(check)
+                .build();
+            let mut sim = CellSim::new(config);
+            for (i, lazy) in sim.players.iter_mut().enumerate() {
+                let media = TimeDelta::from_secs(30 + 20 * i as u64);
+                let mpd = Mpd::new(
+                    format!("short-{i}"),
+                    sim.config.ladder.clone(),
+                    sim.config.segment,
+                    media,
+                );
+                lazy.player = Player::new(
+                    mpd,
+                    sim.config.player.clone(),
+                    Box::new(flare_abr::Festive::default()),
+                );
+                lazy.player.set_trace(trace.clone(), i as u64);
+            }
+            let mut stepper = sim.into_stepper();
+            while stepper.advance_to_bai().is_some() {
+                stepper.bai_boundary();
+            }
+            let lazy_ms = stepper.lazy_player_ms();
+            let r = stepper.into_result();
+            let outcome = format!(
+                "{:?}",
+                r.videos
+                    .iter()
+                    .map(|v| (&v.stats, v.rate_series.points(), v.buffer_series.points()))
+                    .collect::<Vec<_>>()
+            );
+            (outcome, trace.to_jsonl(), lazy_ms, r)
+        };
+        let (lazy, lazy_jsonl, lazy_ms, r) = run(false);
+        let (reference, ref_jsonl, ref_lazy_ms, _) = run(true);
+        assert_eq!(ref_lazy_ms, 0);
+        assert!(lazy_ms > 0, "no player step was deferred");
+        assert!(lazy == reference, "results diverge past the media end");
+        assert!(lazy_jsonl == ref_jsonl, "traces diverge past the media end");
+        for (i, v) in r.videos.iter().enumerate() {
+            assert_eq!(v.stats.segments, 3 + 2 * i as u64, "player {i}");
+            let last = v.buffer_series.points().last().expect("sampled");
+            assert_eq!(last.1, 0.0, "player {i} did not play its media out");
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ use flare_scenarios::cell::cell_config;
 use flare_scenarios::{CellSim, ChannelKind, SchemeKind, SimConfig};
 use flare_sim::units::{ByteCount, Rate};
 use flare_sim::{Time, TimeDelta};
+use flare_trace::TraceHandle;
 
 struct CountingAlloc;
 
@@ -197,5 +198,37 @@ fn main() {
     );
     println!(
         "[skip-ahead] one 10 s BAI window ({coasted} of 10k TTIs coasted), 0 allocator operations ... ok"
+    );
+
+    // Transport request jitter: segment requests wait up to 200 ms in
+    // transport flight before their bytes reach the eNodeB, and moving the
+    // due ones out of the in-flight list must not allocate either.
+    let trace = TraceHandle::registry_only();
+    let config = SimConfig::builder()
+        .seed(11)
+        .duration(TimeDelta::from_secs(200))
+        .videos(8)
+        .data_flows(0)
+        .request_jitter(TimeDelta::from_millis(200))
+        .trace(trace.clone())
+        .build();
+    let mut stepper = CellSim::new(config).into_stepper();
+    for _ in 0..12 {
+        stepper.advance_to_bai().expect("warm-up window");
+        stepper.bai_boundary();
+    }
+    let requests_before = trace.snapshot().counter("player.requests");
+    let before = ALLOC_OPS.load(Ordering::Relaxed);
+    let boundary = stepper.advance_to_bai();
+    let ops = ALLOC_OPS.load(Ordering::Relaxed) - before;
+    let requests = trace.snapshot().counter("player.requests") - requests_before;
+    assert!(boundary.is_some(), "measurement window must close a BAI");
+    assert!(requests > 0, "no request went into transport flight");
+    assert_eq!(
+        ops, 0,
+        "[jitter] one BAI window performed {ops} allocator operations"
+    );
+    println!(
+        "[jitter] one 10 s BAI window ({requests} jittered requests), 0 allocator operations ... ok"
     );
 }

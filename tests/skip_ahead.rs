@@ -17,6 +17,7 @@
 use std::fmt::Write as _;
 
 use flare_core::{FaultModel, FlareConfig, OutageWindow, RobustnessConfig};
+use flare_has::PlayerConfig;
 use flare_lte::channel::{ChannelModel, MarkovChannel, StaticChannel, TriangleWave};
 use flare_lte::mobility::{generate_trace, MobilityChannel, MobilityConfig};
 use flare_lte::scheduler::{
@@ -47,6 +48,10 @@ struct Case {
     fault: usize,
     videos: usize,
     data: usize,
+    /// Trailing video UEs running a conventional FESTIVE player.
+    legacy: usize,
+    /// The players' request threshold in seconds (30 is the default).
+    request_threshold_s: u64,
     request_jitter_ms: u64,
     seed: u64,
     /// Run length; off whole seconds, so the end of the run bounds a span
@@ -90,6 +95,11 @@ impl Case {
             .bai(TimeDelta::from_millis(self.bai_ms))
             .videos(self.videos)
             .data_flows(self.data)
+            .legacy_video(self.legacy)
+            .player(PlayerConfig {
+                request_threshold: TimeDelta::from_secs(self.request_threshold_s),
+                ..PlayerConfig::default()
+            })
             .channel(self.channel_kind())
             .scheduler(SCHEDULERS[self.scheduler])
             .scheme(scheme)
@@ -168,6 +178,9 @@ struct Outcome {
     canonical: String,
     jsonl: String,
     coasted: u64,
+    /// `CellStepper::lazy_player_ms`.
+    lazy_ms: u64,
+    result: RunResult,
 }
 
 /// Debug-level trace with MAC ticks sampled at an odd stride, so sampled
@@ -187,10 +200,14 @@ fn run(case: Case, check_invariants: bool) -> Outcome {
         stepper.bai_boundary();
     }
     let coasted = stepper.coasted_ttis();
+    let lazy_ms = stepper.lazy_player_ms();
+    let result = stepper.into_result();
     Outcome {
-        canonical: canonical(&stepper.into_result()),
+        canonical: canonical(&result),
         jsonl: trace.to_jsonl(),
         coasted,
+        lazy_ms,
+        result,
     }
 }
 
@@ -240,11 +257,16 @@ fn canonical(r: &RunResult) -> String {
 }
 
 /// Runs `case` with and without the invariant battery and asserts the two
-/// are byte-equal. Returns the number of TTIs the unchecked run coasted.
-fn assert_skip_ahead_is_exact(case: Case) -> Result<u64, TestCaseError> {
+/// are byte-equal. Returns the unchecked run.
+fn assert_skip_ahead_is_exact(case: Case) -> Result<Outcome, TestCaseError> {
     let fast = run(case, false);
     let reference = run(case, true);
     prop_assert_eq!(reference.coasted, 0, "a checked run must step every TTI");
+    prop_assert_eq!(
+        reference.lazy_ms,
+        0,
+        "a checked run must step every player every TTI"
+    );
     prop_assert!(!reference.jsonl.is_empty());
     prop_assert!(
         fast.canonical == reference.canonical,
@@ -256,7 +278,7 @@ fn assert_skip_ahead_is_exact(case: Case) -> Result<u64, TestCaseError> {
         "traces diverge for {:?}",
         case
     );
-    Ok(fast.coasted)
+    Ok(fast)
 }
 
 /// The benchmark's `cell_mobile_lossy` shape: vehicular FLARE-R under 20%
@@ -271,12 +293,14 @@ fn mobile_flare_r_under_loss_coasts_and_matches_the_per_tti_path() {
         fault: 1,
         videos: 8,
         data: 0,
+        legacy: 0,
+        request_threshold_s: 30,
         request_jitter_ms: 0,
         seed: 5,
         duration_ms: 300_000,
         bai_ms: 10_000,
     };
-    let coasted = assert_skip_ahead_is_exact(case).unwrap();
+    let coasted = assert_skip_ahead_is_exact(case).unwrap().coasted;
     assert!(
         coasted > 30_000,
         "only {coasted} of 300k TTIs coasted on the mobile FLARE-R cell"
@@ -294,12 +318,14 @@ fn named_cells_match_the_per_tti_path() {
         fault: 0,
         videos: 8,
         data: 0,
+        legacy: 0,
+        request_threshold_s: 30,
         request_jitter_ms: 0,
         seed: 2,
         duration_ms: 300_000,
         bai_ms: 10_000,
     };
-    let fig6 = assert_skip_ahead_is_exact(base).unwrap();
+    let fig6 = assert_skip_ahead_is_exact(base).unwrap().coasted;
     assert!(fig6 > 0, "static FLARE cell never coasted");
     let traced = assert_skip_ahead_is_exact(Case {
         scheme: 2,
@@ -308,7 +334,8 @@ fn named_cells_match_the_per_tti_path() {
         videos: 4,
         ..base
     })
-    .unwrap();
+    .unwrap()
+    .coasted;
     assert!(traced > 0, "trace-channel FESTIVE cell never coasted");
     // A BAI and a run end off whole seconds: the BAI boundary and the end
     // of the run, not the per-second sample, close these spans.
@@ -318,10 +345,96 @@ fn named_cells_match_the_per_tti_path() {
         bai_ms: 2_500,
         ..base
     })
-    .unwrap();
+    .unwrap()
+    .coasted;
     assert!(odd > 0, "odd-BAI FLARE-R cell never coasted");
-    let busy = assert_skip_ahead_is_exact(Case { data: 1, ..base }).unwrap();
+    let busy = assert_skip_ahead_is_exact(Case { data: 1, ..base })
+        .unwrap()
+        .coasted;
     assert_eq!(busy, 0, "a greedy data flow leaves no idle TTI");
+}
+
+/// Lazy player clocks: a player is stepped only when its horizon runs out
+/// or a delivery completes its segment, and owes pure buffer drains in
+/// between. Each case ends horizons a different way; each must match the
+/// per-TTI path, and its players must have deferred more player-ms than
+/// whole-cell coasting alone accounts for (so busy TTIs skipped steps too).
+#[test]
+fn lazy_player_clocks_match_the_per_tti_path() {
+    let base = Case {
+        scheme: 0,
+        channel: 0,
+        scheduler: 2,
+        fault: 0,
+        videos: 8,
+        data: 0,
+        legacy: 0,
+        request_threshold_s: 30,
+        request_jitter_ms: 0,
+        seed: 2,
+        duration_ms: 200_000,
+        bai_ms: 10_000,
+    };
+    let check = |name: &str, case: Case| -> RunResult {
+        let fast = assert_skip_ahead_is_exact(case).unwrap();
+        assert!(
+            fast.lazy_ms > case.videos as u64 * fast.coasted,
+            "{name}: {} lazy player-ms, {} coasted TTIs",
+            fast.lazy_ms,
+            fast.coasted
+        );
+        fast.result
+    };
+    // An overloaded static cell (40 GOOGLE players at iTbs 2 need more
+    // than its 3.2 Mbps even at 100 kbps): buffers run dry mid-download,
+    // so horizons end in stalls, and stalled players resume.
+    let dry = check(
+        "overloaded",
+        Case {
+            scheme: 3,
+            videos: 40,
+            seed: 12,
+            ..base
+        },
+    );
+    let stalls: u64 = dry.videos.iter().map(|v| v.stats.rebuffer_events).sum();
+    assert!(stalls > 0, "the overloaded cell never stalled");
+    // A short run is mostly start-up: no horizon before playback starts.
+    check(
+        "start-up",
+        Case {
+            duration_ms: 20_457,
+            bai_ms: 2_500,
+            ..base
+        },
+    );
+    // Requests held in transport flight while players lag.
+    check(
+        "request jitter",
+        Case {
+            request_jitter_ms: 200,
+            ..base
+        },
+    );
+    // Conventional FESTIVE players beside FLARE ones.
+    check("legacy", Case { legacy: 3, ..base });
+    // A request threshold past the media length: every segment is fetched
+    // long before the run ends, and finished players step every TTI.
+    let ended = check(
+        "media end",
+        Case {
+            scheme: 2,
+            videos: 2,
+            request_threshold_s: 100_000,
+            ..base
+        },
+    );
+    // The runner's media outlasts the run by four 10 s segments.
+    let segments = (base.duration_ms / 1000 + 40) / 10;
+    assert!(
+        ended.videos.iter().all(|v| v.stats.segments == segments),
+        "players did not fetch all {segments} segments"
+    );
 }
 
 /// Every fault model on the mobile FLARE-R cell, and the naive FLARE plugin
@@ -336,13 +449,17 @@ fn every_fault_model_matches_the_per_tti_path() {
         fault: 0,
         videos: 6,
         data: 0,
+        legacy: 0,
+        request_threshold_s: 30,
         request_jitter_ms: 0,
         seed: 9,
         duration_ms: 300_000,
         bai_ms: 10_000,
     };
     for fault in 1..=5 {
-        let coasted = assert_skip_ahead_is_exact(Case { fault, ..base }).unwrap();
+        let coasted = assert_skip_ahead_is_exact(Case { fault, ..base })
+            .unwrap()
+            .coasted;
         assert!(coasted > 0, "fault model {fault} never coasted");
     }
     let naive = assert_skip_ahead_is_exact(Case {
@@ -350,7 +467,8 @@ fn every_fault_model_matches_the_per_tti_path() {
         fault: 3,
         ..base
     })
-    .unwrap();
+    .unwrap()
+    .coasted;
     assert!(naive > 0, "naive FLARE under jitter never coasted");
 }
 
@@ -376,6 +494,8 @@ proptest! {
             fault,
             videos,
             data,
+            legacy: 0,
+            request_threshold_s: 30,
             // Three in four cases keep requests instantaneous; the rest
             // hold them in transport flight (which suspends coasting).
             request_jitter_ms: if jitter == 0 { 1500 } else { 0 },
@@ -400,6 +520,8 @@ fn sharded_fleet_with_coasting_matches_the_per_tti_serial_path() {
             fault: 1,
             videos: 4,
             data: 0,
+            legacy: 0,
+            request_threshold_s: 30,
             request_jitter_ms: 0,
             seed: 40 + i as u64,
             duration_ms: 300_000,
